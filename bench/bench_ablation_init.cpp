@@ -2,74 +2,120 @@
 // bipartite coverage graph — takes time roughly linear in |P| because the
 // average ancestor count of the DAG is small. The ns-per-pair figure
 // should stay nearly flat as |P| doubles (edge counts grow faster since
-// concept buckets collide, which the edges counter makes visible).
+// concept buckets collide, which the edges column makes visible).
+//
+// Usage:
+//   bench_ablation_init [--smoke] [--stats] [--out=BENCH_ablation_init.json]
 
-#include <benchmark/benchmark.h>
+#include <cstdio>
+#include <string>
+#include <string_view>
+#include <vector>
 
+#include "bench_util.h"
 #include "common/rng.h"
+#include "common/stopwatch.h"
+#include "common/strings.h"
 #include "core/distance.h"
 #include "coverage/coverage_graph.h"
 #include "ontology/snomed_like.h"
 
+namespace osrs::bench {
 namespace {
 
-const osrs::Ontology& SharedOntology() {
-  static const osrs::Ontology* onto = [] {
-    osrs::SnomedLikeOptions options;
+const Ontology& SharedOntology() {
+  static const Ontology* onto = [] {
+    SnomedLikeOptions options;
     options.num_concepts = 5000;
-    return new osrs::Ontology(osrs::BuildSnomedLikeOntology(options));
+    return new Ontology(BuildSnomedLikeOntology(options));
   }();
   return *onto;
 }
 
-std::vector<osrs::ConceptSentimentPair> MakePairs(int num_pairs) {
-  const osrs::Ontology& onto = SharedOntology();
-  osrs::Rng rng(static_cast<uint64_t>(num_pairs) * 13 + 1);
-  std::vector<osrs::ConceptSentimentPair> pairs;
+std::vector<ConceptSentimentPair> MakePairs(int num_pairs) {
+  const Ontology& onto = SharedOntology();
+  Rng rng(static_cast<uint64_t>(num_pairs) * 13 + 1);
+  std::vector<ConceptSentimentPair> pairs;
   pairs.reserve(static_cast<size_t>(num_pairs));
   for (int i = 0; i < num_pairs; ++i) {
-    auto c = static_cast<osrs::ConceptId>(
+    auto c = static_cast<ConceptId>(
         1 + rng.NextZipf(onto.num_concepts() - 1, 1.05));
     pairs.push_back({c, rng.NextDouble(-1, 1)});
   }
   return pairs;
 }
 
-void BM_BuildCoverageGraph(benchmark::State& state) {
-  auto pairs = MakePairs(static_cast<int>(state.range(0)));
-  osrs::PairDistance distance(&SharedOntology(), 0.5);
-  size_t edges = 0;
-  for (auto _ : state) {
-    osrs::CoverageGraph graph =
-        osrs::CoverageGraph::BuildForPairs(distance, pairs);
-    edges = graph.num_edges();
-    benchmark::DoNotOptimize(graph);
+int Run(int argc, char** argv) {
+  StatsSession stats(argc, argv);
+  bool smoke = false;
+  std::string out_path = "BENCH_ablation_init.json";
+  for (int i = 1; i < argc; ++i) {
+    std::string_view arg(argv[i]);
+    if (arg == "--smoke") {
+      smoke = true;
+    } else if (arg == "--stats") {
+      // handled by StatsSession
+    } else if (arg.rfind("--out=", 0) == 0) {
+      out_path = std::string(arg.substr(6));
+    } else {
+      std::fprintf(stderr,
+                   "usage: bench_ablation_init [--smoke] [--stats] "
+                   "[--out=PATH]\n");
+      return 2;
+    }
   }
-  state.counters["edges"] = static_cast<double>(edges);
-  state.counters["ns_per_pair"] = benchmark::Counter(
-      static_cast<double>(state.range(0)) * static_cast<double>(state.iterations()),
-      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
-}
 
-void BM_AncestorWalk(benchmark::State& state) {
-  // The inner loop of the initialization: ancestor BFS per concept.
-  const osrs::Ontology& onto = SharedOntology();
-  osrs::Rng rng(7);
-  std::vector<osrs::ConceptId> concepts;
+  const int reps = smoke ? 2 : 30;
+  PairDistance distance(&SharedOntology(), 0.5);
+  std::printf("%6s %9s %12s %12s\n", "pairs", "edges", "build_us",
+              "ns_per_pair");
+  std::string points_json = "[";
+  for (int num_pairs : {250, 500, 1000, 2000, 4000}) {
+    std::vector<ConceptSentimentPair> pairs = MakePairs(num_pairs);
+    size_t edges = 0;
+    const double build_us = MedianMicros(reps, [&]() {
+      edges =
+          CoverageGraph::TryBuildForPairs(distance, pairs).value().num_edges();
+    });
+    const double ns_per_pair = 1e3 * build_us / num_pairs;
+    std::printf("%6d %9zu %12.1f %12.1f\n", num_pairs, edges, build_us,
+                ns_per_pair);
+    if (points_json.size() > 1) points_json += ',';
+    points_json += StrFormat(
+        "{\"num_pairs\":%d,\"edges\":%zu,\"build_us\":%.3f,"
+        "\"ns_per_pair\":%.3f}",
+        num_pairs, edges, build_us, ns_per_pair);
+  }
+
+  // The inner loop of the initialization: the closure lookup per concept.
+  const Ontology& onto = SharedOntology();
+  Rng rng(7);
+  std::vector<ConceptId> concepts;
   for (int i = 0; i < 1024; ++i) {
-    concepts.push_back(static_cast<osrs::ConceptId>(
-        1 + rng.NextUint64(onto.num_concepts() - 1)));
+    concepts.push_back(
+        static_cast<ConceptId>(1 + rng.NextUint64(onto.num_concepts() - 1)));
   }
-  size_t i = 0;
-  for (auto _ : state) {
-    auto ancestors = onto.AncestorsWithDistance(concepts[i++ & 1023]);
-    benchmark::DoNotOptimize(ancestors);
+  const int walks = smoke ? 1 << 12 : 1 << 20;
+  size_t ancestors_seen = 0;
+  Stopwatch walk_watch;
+  for (int i = 0; i < walks; ++i) {
+    ancestors_seen += onto.AncestorsWithDistance(concepts[i & 1023]).size();
   }
+  const double ns_per_walk =
+      static_cast<double>(walk_watch.ElapsedNanos()) / walks;
+  std::printf("ancestor walk: %.1f ns (%.2f ancestors on average)\n",
+              ns_per_walk, static_cast<double>(ancestors_seen) / walks);
+
+  BenchJsonWriter writer("ablation_init");
+  writer.Bool("smoke", smoke);
+  writer.Int("reps", reps);
+  writer.Raw("build", points_json + "]");
+  writer.Double("ancestor_walk_ns", ns_per_walk);
+  if (!writer.WriteFile(out_path, "bench_ablation_init")) return 2;
+  return 0;
 }
 
 }  // namespace
+}  // namespace osrs::bench
 
-BENCHMARK(BM_BuildCoverageGraph)->Arg(250)->Arg(500)->Arg(1000)->Arg(2000)->Arg(4000);
-BENCHMARK(BM_AncestorWalk);
-
-BENCHMARK_MAIN();
+int main(int argc, char** argv) { return osrs::bench::Run(argc, argv); }

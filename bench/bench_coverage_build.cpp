@@ -370,11 +370,13 @@ int Run(int argc, char** argv) {
         });
         for (int threads : thread_counts) {
           CoverageGraph graph;
+          const CoverageBuildOptions options{.num_threads = threads};
           double ms = TimeMs(reps, [&]() {
-            graph = m == "pairs"
-                        ? CoverageGraph::BuildForPairs(distance, pairs, threads)
-                        : CoverageGraph::BuildForGroups(distance, pairs,
-                                                        groups, threads);
+            graph = (m == "pairs" ? CoverageGraph::TryBuildForPairs(
+                                        distance, pairs, options)
+                                  : CoverageGraph::TryBuildForGroups(
+                                        distance, pairs, groups, options))
+                        .value();
           });
           result.fast_ms.emplace_back(threads, ms);
           result.num_edges = graph.num_edges();

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     osrs::Item capped = osrs::TruncateToPairBudget(item, 220);
     auto pairs = osrs::PairsOf(osrs::CollectPairs(capped));
     osrs::CoverageGraph graph =
-        osrs::CoverageGraph::BuildForPairs(distance, pairs);
+        osrs::CoverageGraph::TryBuildForPairs(distance, pairs).value();
     for (size_t a = 0; a < algorithms.size(); ++a) {
       auto result = algorithms[a]->Summarize(graph, k);
       OSRS_CHECK_MSG(result.ok(), algorithms[a]->name()
@@ -76,10 +76,13 @@ int main(int argc, char** argv) {
     for (auto& pair : pairs) {
       pair.sentiment = std::round(pair.sentiment * 20.0) / 20.0;
     }
-    osrs::CoverageGraph raw = osrs::CoverageGraph::BuildForPairs(distance, pairs);
+    osrs::CoverageGraph raw =
+        osrs::CoverageGraph::TryBuildForPairs(distance, pairs).value();
     osrs::DedupedPairs deduped = osrs::DedupePairs(pairs, 1e-9);
-    osrs::CoverageGraph compact = osrs::CoverageGraph::BuildForPairsWeighted(
-        distance, deduped.pairs, deduped.weights);
+    osrs::CoverageGraph compact =
+        osrs::CoverageGraph::TryBuildForPairsWeighted(distance, deduped.pairs,
+                                                      deduped.weights)
+            .value();
     auto cost_raw = greedy.Summarize(raw, k);
     auto cost_dedup = greedy.Summarize(compact, k);
     OSRS_CHECK(cost_raw.ok());

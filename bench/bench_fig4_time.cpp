@@ -124,7 +124,7 @@ CoverageGraph MakeKernelGraph(size_t num_pairs, int num_concepts) {
     pairs.push_back({c, s});
   }
   PairDistance distance(&onto, 0.5);
-  return CoverageGraph::BuildForPairs(distance, pairs);
+  return CoverageGraph::TryBuildForPairs(distance, pairs).value();
 }
 
 struct KernelResults {

@@ -45,7 +45,7 @@ CoverageGraph BuildGraph(int num_pairs) {
     pairs.push_back({c, rng.NextDouble(-1, 1)});
   }
   PairDistance distance(&SharedOntology(), 0.5);
-  return CoverageGraph::BuildForPairs(distance, pairs);
+  return CoverageGraph::TryBuildForPairs(distance, pairs).value();
 }
 
 /// Best-of-N wall time of `fn` in milliseconds.

@@ -75,7 +75,8 @@ int main(int argc, char** argv) {
     osrs::KPairsReduction reduction = osrs::BuildKPairsReduction(instance);
     osrs::PairDistance distance(&reduction.ontology, 0.1);
     osrs::CoverageGraph graph =
-        osrs::CoverageGraph::BuildForPairs(distance, reduction.pairs);
+        osrs::CoverageGraph::TryBuildForPairs(distance, reduction.pairs)
+            .value();
     auto result = osrs::IlpSummarizer().Summarize(graph, reduction.k);
     OSRS_CHECK_MSG(result.ok(), result.status().ToString());
     bool cover = HasCoverOfSizeK(instance);

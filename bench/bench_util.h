@@ -133,6 +133,20 @@ class BenchJsonWriter {
   std::string json_;
 };
 
+/// Median wall time of `reps` (>= 1) calls of `fn`, in microseconds.
+template <typename Fn>
+double MedianMicros(int reps, const Fn& fn) {
+  std::vector<double> micros;
+  for (int r = 0; r < reps; ++r) {
+    Stopwatch watch;
+    fn();
+    micros.push_back(watch.ElapsedMicros());
+  }
+  std::nth_element(micros.begin(), micros.begin() + micros.size() / 2,
+                   micros.end());
+  return micros[micros.size() / 2];
+}
+
 struct QuantitativeConfig {
   double epsilon = 0.5;  // the paper's elbow-selected threshold (§5.3)
   std::vector<int> k_values = {2, 4, 6, 8, 10};
@@ -176,7 +190,8 @@ inline QuantitativeResults RunQuantitative(
     }
     for (const Item* item : items) {
       Item capped = TruncateToPairBudget(*item, config.pair_budget);
-      ItemGraph item_graph = BuildItemGraph(distance, capped, granularity);
+      ItemGraph item_graph =
+          TryBuildItemGraph(distance, capped, granularity).value();
       for (size_t ki = 0; ki < config.k_values.size(); ++ki) {
         int k = std::min(config.k_values[ki],
                          item_graph.graph.num_candidates());

@@ -53,6 +53,13 @@ echo "== coverage-build bench smoke =="
 # report is written (full-size numbers live in BENCH_coverage.json).
 ./build/bench/bench_coverage_build --smoke --out=build/BENCH_coverage_smoke.json
 
+echo "== ablation bench smoke: eager vs lazy greedy, init linearity =="
+# A1 exits non-zero if the eager and lazy heaps ever disagree on cost at
+# any graph size (EXPERIMENTS.md claims identical cost); A2 checks that
+# the init-linearity sweep runs end to end and writes its report.
+./build/bench/bench_ablation_greedy --smoke --out=build/BENCH_ablation_greedy_smoke.json
+./build/bench/bench_ablation_init --smoke --out=build/BENCH_ablation_init_smoke.json
+
 echo "== chaos stage: failpoint schedules + env arming + retry overhead =="
 # chaos_test (also part of the suite above) is the randomized campaign;
 # here the two pieces the suite cannot cover run on top: the

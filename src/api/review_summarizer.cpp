@@ -136,18 +136,10 @@ std::string ItemSummary::ToJson() const {
   warnings_json += ']';
 
   std::string out = "{";
-  // The top-level degraded / algorithm / stop_reason / budget_spent_ms /
-  // validation_warnings keys are deprecated aliases of the "diagnostics"
-  // object below, kept for one release (see README.md, "Observability").
   out += StrFormat(
-      "\"cost\":%.6g,\"epsilon\":%.6g,\"solver_seconds\":%.6g,"
-      "\"num_pairs\":%zu,\"num_candidates\":%zu,\"num_edges\":%zu,"
-      "\"degraded\":%s,\"algorithm\":\"%s\",\"stop_reason\":\"%s\","
-      "\"budget_spent_ms\":%.3f,",
-      cost, epsilon, solver_seconds, num_pairs, num_candidates, num_edges,
-      degraded ? "true" : "false",
-      JsonEscape(SummaryAlgorithmToString(algorithm_used)).c_str(),
-      StatusCodeToString(stop_reason), budget_spent_ms);
+      "\"cost\":%.6g,\"epsilon\":%.6g,"
+      "\"num_pairs\":%zu,\"num_candidates\":%zu,\"num_edges\":%zu,",
+      cost, epsilon, num_pairs, num_candidates, num_edges);
   out += StrFormat(
       "\"diagnostics\":{\"degraded\":%s,\"algorithm\":\"%s\","
       "\"stop_reason\":\"%s\",\"budget_spent_ms\":%.3f,"
@@ -170,9 +162,7 @@ std::string ItemSummary::ToJson() const {
         entries[i].sentence_index, entries[i].pair.concept_id,
         entries[i].pair.sentiment);
   }
-  out += "],\"validation_warnings\":";
-  out += warnings_json;
-  out += '}';
+  out += "]}";
   return out;
 }
 
@@ -226,21 +216,24 @@ Result<ItemSummary> ReviewSummarizer::Summarize(
   obs::Tracer::Scope trace_scope(options_.collect_stats ? &trace
                                                         : obs::Tracer::current());
 
+  // The elbow probes and the real build share one set of build options, so
+  // the memory bound and the failpoint cover every graph this call builds.
+  CoverageBuildOptions build_options;
+  build_options.num_threads = options_.graph_build_threads;
+  build_options.max_memory_bytes = options_.max_memory_bytes;
   double epsilon = options_.epsilon;
   if (options_.auto_epsilon) {
     auto pairs = PairsOf(CollectPairs(item));
     if (!pairs.empty()) {
-      ElbowResult elbow = SelectEpsilonByElbow(
+      Result<ElbowResult> elbow = SelectEpsilonByElbow(
           *ontology_, pairs, std::max(1, k),
-          {0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.9, 1.2, 1.6, 2.0});
-      epsilon = elbow.chosen_epsilon;
+          {0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.9, 1.2, 1.6, 2.0}, build_options);
+      OSRS_RETURN_IF_ERROR(elbow.status());
+      epsilon = elbow->chosen_epsilon;
     }
   }
 
   PairDistance distance(ontology_, epsilon);
-  CoverageBuildOptions build_options;
-  build_options.num_threads = options_.graph_build_threads;
-  build_options.max_memory_bytes = options_.max_memory_bytes;
   Result<ItemGraph> built =
       TryBuildItemGraph(distance, item, options_.granularity, build_options);
   // Graph construction failures (memory budget, injected faults) have no

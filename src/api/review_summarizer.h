@@ -74,14 +74,18 @@ struct ReviewSummarizerOptions {
   bool auto_epsilon = false;
   SummaryAlgorithm algorithm = SummaryAlgorithm::kGreedy;
   SummaryGranularity granularity = SummaryGranularity::kSentences;
-  /// Worker threads for coverage-graph construction (§4.1): targets are
-  /// sharded across threads with per-thread edge buffers, and the merged
+  /// Worker threads for coverage-graph construction (§4.1), including the
+  /// auto_epsilon probes: targets are sharded across threads, each writing
+  /// its edges straight into disjoint slices of the final CSR, and the
   /// graph is identical at every setting. 1 (the default) builds serially;
   /// 0 uses the hardware concurrency; negative values are an
-  /// InvalidArgument error at Summarize time. Worth raising only for large
-  /// items — graph construction is a small fraction of a typical solve.
+  /// InvalidArgument error at Summarize time. Graph construction dominates
+  /// a greedy solve (~83% of a cold serving solve on the phone corpus), so
+  /// raising this pays off when requests do not already keep every core
+  /// busy.
   int graph_build_threads = 1;
-  /// Upper bound on the bytes the item's coverage graph may occupy; 0 (the
+  /// Upper bound on the bytes any coverage graph built for the item may
+  /// occupy (the solve graph and every auto_epsilon probe); 0 (the
   /// default) means unlimited. The builder's counting pass knows the exact
   /// edge total before allocating, so an over-budget item fails fast with
   /// kResourceExhausted — a retryable code, so a BatchSummarizer
@@ -204,12 +208,11 @@ struct ItemSummary {
 
   /// Compact JSON rendering (entries, cost, diagnostics) for tooling.
   ///
-  /// Diagnostic fields live under one "diagnostics" object (degraded,
-  /// algorithm, stop_reason, budget_spent_ms, solver_seconds, request_id,
-  /// trace_id — the hex log-correlation id — validation_warnings, stats). The pre-existing top-level copies of
-  /// degraded / algorithm / stop_reason / budget_spent_ms /
-  /// validation_warnings remain for one release as deprecated aliases —
-  /// see README.md ("Observability") for the migration note.
+  /// Diagnostic fields live only under one "diagnostics" object (degraded,
+  /// algorithm, stop_reason, budget_spent_ms, solver_seconds, retries,
+  /// request_id, trace_id — the hex log-correlation id —
+  /// validation_warnings, stats); the top level holds the summary itself
+  /// (cost, epsilon, sizes, entries).
   std::string ToJson() const;
 };
 

@@ -373,34 +373,12 @@ Result<CoverageGraph> CoverageGraph::BuildForPairsImpl(
   return graph;
 }
 
-CoverageGraph CoverageGraph::BuildForPairs(
-    const PairDistance& distance,
-    const std::vector<ConceptSentimentPair>& pairs, int num_threads) {
-  CoverageBuildOptions options;
-  options.num_threads = num_threads;
-  // No memory limit and no failpoint on the legacy path, so the impl
-  // cannot fail.
-  auto graph = BuildForPairsImpl(distance, pairs, options, /*weighted=*/false);
-  OSRS_CHECK(graph.ok());
-  return std::move(graph).value();
-}
-
 Result<CoverageGraph> CoverageGraph::TryBuildForPairs(
     const PairDistance& distance,
     const std::vector<ConceptSentimentPair>& pairs,
     const CoverageBuildOptions& options) {
   OSRS_RETURN_IF_ERROR(OSRS_FAILPOINT("osrs.coverage.alloc"));
   return BuildForPairsImpl(distance, pairs, options, /*weighted=*/false);
-}
-
-CoverageGraph CoverageGraph::BuildForPairsWeighted(
-    const PairDistance& distance,
-    const std::vector<ConceptSentimentPair>& pairs,
-    const std::vector<double>& target_weights, int num_threads) {
-  OSRS_CHECK_EQ(target_weights.size(), pairs.size());
-  CoverageGraph graph = BuildForPairs(distance, pairs, num_threads);
-  graph.target_weights_ = target_weights;
-  return graph;
 }
 
 Result<CoverageGraph> CoverageGraph::TryBuildForPairsWeighted(
@@ -592,19 +570,6 @@ Result<CoverageGraph> CoverageGraph::BuildForGroupsImpl(
   obs::TraceStat(obs::Stat::kGraphEdgesBuilt,
                  static_cast<int64_t>(graph.num_edges()));
   return graph;
-}
-
-CoverageGraph CoverageGraph::BuildForGroups(
-    const PairDistance& distance,
-    const std::vector<ConceptSentimentPair>& pairs,
-    const std::vector<std::vector<int>>& groups, int num_threads) {
-  CoverageBuildOptions options;
-  options.num_threads = num_threads;
-  // No memory limit and no failpoint on the legacy path, so the impl
-  // cannot fail.
-  auto graph = BuildForGroupsImpl(distance, pairs, groups, options);
-  OSRS_CHECK(graph.ok());
-  return std::move(graph).value();
 }
 
 Result<CoverageGraph> CoverageGraph::TryBuildForGroups(

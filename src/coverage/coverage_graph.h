@@ -14,7 +14,8 @@
 
 namespace osrs {
 
-/// Options shared by the fallible TryBuild* graph constructors.
+/// Options shared by the TryBuild* graph constructors. The defaults build
+/// serially with no memory limit.
 struct CoverageBuildOptions {
   /// Shard count for the two construction passes: 1 = serial (default),
   /// 0 = hardware concurrency. Bit-identical output at every value.
@@ -151,55 +152,43 @@ class CoverageGraph {
   /// Construction is two passes over the same enumeration: a counting pass
   /// (degrees only, nothing materialized) and a scatter pass writing every
   /// edge directly into its final CSR slot — no intermediate edge buffers
-  /// and no per-candidate sort. `num_threads` shards the targets across
-  /// workers (1 = serial, the default; 0 = hardware concurrency); the
-  /// resulting graph is bit-identical at every thread count.
-  static CoverageGraph BuildForPairs(
-      const PairDistance& distance,
-      const std::vector<ConceptSentimentPair>& pairs, int num_threads = 1);
-
-  /// Builds the §4.5 graph: U = `groups` (each a list of indices into
-  /// `pairs`, e.g. the pairs of one sentence), W = `pairs`. Same
-  /// `num_threads` contract as BuildForPairs; each target is processed
-  /// wholly by one shard, which keeps the per-group minimum-weight dedupe
-  /// exact.
-  static CoverageGraph BuildForGroups(
-      const PairDistance& distance,
-      const std::vector<ConceptSentimentPair>& pairs,
-      const std::vector<std::vector<int>>& groups, int num_threads = 1);
-
-  /// Like BuildForPairs but with a multiplicity per target: target w
-  /// contributes weight[w] · d(F, w) to the cost. Together with DedupePairs
-  /// this collapses the many duplicate pairs of real review sets (the same
-  /// popular aspect mentioned with near-identical sentiment) into one
-  /// weighted target, shrinking the graph without changing any cost.
-  static CoverageGraph BuildForPairsWeighted(
-      const PairDistance& distance,
-      const std::vector<ConceptSentimentPair>& pairs,
-      const std::vector<double>& target_weights, int num_threads = 1);
-
-  /// Fallible variants of the three builders. Same construction, same
-  /// bit-identical output, but resource failures surface as Status instead
-  /// of crashing: a build whose counting pass predicts more than
-  /// `options.max_memory_bytes` of graph storage returns kResourceExhausted
-  /// before allocating, and the "osrs.coverage.alloc" failpoint
-  /// (src/fault/failpoint.h) is evaluated on entry — only here, so callers
-  /// of the legacy value-returning builders are never affected by an armed
-  /// failpoint. Prefer these on any path with a RetryPolicy above it.
+  /// and no per-candidate sort. `options.num_threads` shards the targets
+  /// across workers; the resulting graph is bit-identical at every thread
+  /// count.
+  ///
+  /// Resource failures surface as Status: a build whose counting pass
+  /// predicts more than `options.max_memory_bytes` of graph storage returns
+  /// kResourceExhausted before allocating, and the "osrs.coverage.alloc"
+  /// failpoint (src/fault/failpoint.h) is evaluated on entry. The default
+  /// options (serial, no limit) fail only through an armed failpoint.
   static Result<CoverageGraph> TryBuildForPairs(
       const PairDistance& distance,
       const std::vector<ConceptSentimentPair>& pairs,
-      const CoverageBuildOptions& options);
+      const CoverageBuildOptions& options = {});
+
+  /// Builds the §4.5 graph: U = `groups` (each a list of indices into
+  /// `pairs`, e.g. the pairs of one sentence), W = `pairs`. Same options
+  /// and failure contract as TryBuildForPairs; each target is processed
+  /// wholly by one shard, which keeps the per-group minimum-weight dedupe
+  /// exact.
   static Result<CoverageGraph> TryBuildForGroups(
       const PairDistance& distance,
       const std::vector<ConceptSentimentPair>& pairs,
       const std::vector<std::vector<int>>& groups,
-      const CoverageBuildOptions& options);
+      const CoverageBuildOptions& options = {});
+
+  /// Like TryBuildForPairs but with a multiplicity per target: target w
+  /// contributes weight[w] · d(F, w) to the cost. Together with DedupePairs
+  /// this collapses the many duplicate pairs of real review sets (the same
+  /// popular aspect mentioned with near-identical sentiment) into one
+  /// weighted target, shrinking the graph without changing any cost.
+  /// `target_weights` must hold one entry per pair (kInvalidArgument
+  /// otherwise).
   static Result<CoverageGraph> TryBuildForPairsWeighted(
       const PairDistance& distance,
       const std::vector<ConceptSentimentPair>& pairs,
       const std::vector<double>& target_weights,
-      const CoverageBuildOptions& options);
+      const CoverageBuildOptions& options = {});
 
   /// Bytes of heap storage this graph's vectors occupy (capacity-exact for
   /// a freshly built graph). The same formula the TryBuild* memory gate
@@ -267,10 +256,9 @@ class CoverageGraph {
   CoverageGraph() = default;
 
  private:
-  /// Shared implementations behind the legacy Build* (infallible, no limit)
-  /// and TryBuild* (memory-gated) entry points. The gate runs between the
-  /// counting and scatter passes, where the exact edge total is known but
-  /// nothing has been allocated yet.
+  /// Shared implementations behind the TryBuild* entry points. The memory
+  /// gate runs between the counting and scatter passes, where the exact
+  /// edge total is known but nothing has been allocated yet.
   static Result<CoverageGraph> BuildForPairsImpl(
       const PairDistance& distance,
       const std::vector<ConceptSentimentPair>& pairs,

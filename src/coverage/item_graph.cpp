@@ -1,6 +1,6 @@
 #include "coverage/item_graph.h"
 
-#include "common/logging.h"
+#include "common/status.h"
 #include "core/cost.h"
 
 namespace osrs {
@@ -41,20 +41,6 @@ std::vector<ConceptSentimentPair> PrepareItemGraph(
 }
 
 }  // namespace
-
-ItemGraph BuildItemGraph(const PairDistance& distance, const Item& item,
-                         SummaryGranularity granularity, int num_threads) {
-  ItemGraph out;
-  std::vector<ConceptSentimentPair> pairs =
-      PrepareItemGraph(item, granularity, out);
-  if (granularity == SummaryGranularity::kPairs) {
-    out.graph = CoverageGraph::BuildForPairs(distance, pairs, num_threads);
-  } else {
-    out.graph =
-        CoverageGraph::BuildForGroups(distance, pairs, out.groups, num_threads);
-  }
-  return out;
-}
 
 Result<ItemGraph> TryBuildItemGraph(const PairDistance& distance,
                                     const Item& item,

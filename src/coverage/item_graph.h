@@ -29,19 +29,14 @@ struct ItemGraph {
 /// Builds the §4.1/§4.5 graph for `item`. Sentences/reviews without any
 /// concept-sentiment pair are not candidates (they can never cover
 /// anything), matching the candidate sets the paper's solvers see.
-/// `num_threads` is forwarded to the CoverageGraph builders (1 = serial,
-/// 0 = hardware concurrency); the graph is identical at every count.
-ItemGraph BuildItemGraph(const PairDistance& distance, const Item& item,
-                         SummaryGranularity granularity, int num_threads = 1);
-
-/// Fallible BuildItemGraph: forwards `options` to the CoverageGraph
-/// TryBuild* constructors, so an over-budget graph surfaces as
-/// kResourceExhausted (and the "osrs.coverage.alloc" failpoint applies).
-/// Same output as BuildItemGraph when it succeeds.
+/// `options` is forwarded to the CoverageGraph TryBuild* constructors, so
+/// an over-budget graph surfaces as kResourceExhausted and the
+/// "osrs.coverage.alloc" failpoint applies; the graph is identical at every
+/// thread count.
 Result<ItemGraph> TryBuildItemGraph(const PairDistance& distance,
                                     const Item& item,
                                     SummaryGranularity granularity,
-                                    const CoverageBuildOptions& options);
+                                    const CoverageBuildOptions& options = {});
 
 }  // namespace osrs
 

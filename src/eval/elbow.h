@@ -3,7 +3,9 @@
 
 #include <vector>
 
+#include "common/status.h"
 #include "core/model.h"
+#include "coverage/coverage_graph.h"
 #include "ontology/ontology.h"
 
 namespace osrs {
@@ -22,9 +24,13 @@ struct ElbowResult {
 /// and picks the knee of the coverage curve by the maximum-distance-to-
 /// chord rule: past the knee, raising ε stops buying coverage — the
 /// "rate of covered sentences significantly drops" criterion of §5.3.
-ElbowResult SelectEpsilonByElbow(const Ontology& ontology,
-                                 const std::vector<ConceptSentimentPair>& pairs,
-                                 int k, std::vector<double> epsilons);
+/// Every probe graph is built under `build_options`, so a probe that would
+/// exceed `max_memory_bytes` (or hits an armed "osrs.coverage.alloc"
+/// failpoint) fails the sweep with the builder's status.
+Result<ElbowResult> SelectEpsilonByElbow(
+    const Ontology& ontology, const std::vector<ConceptSentimentPair>& pairs,
+    int k, std::vector<double> epsilons,
+    const CoverageBuildOptions& build_options = {});
 
 }  // namespace osrs
 

@@ -5,6 +5,7 @@
 
 #include "api/annotator.h"
 #include "api/review_summarizer.h"
+#include "coverage/item_graph.h"
 #include "datagen/cellphone_corpus.h"
 #include "ontology/cellphone_hierarchy.h"
 
@@ -135,6 +136,44 @@ TEST(ReviewSummarizerTest, AutoEpsilonPicksFromGrid) {
   auto fixed_summary = fixed.Summarize(SmallItem(onto), 2);
   ASSERT_TRUE(fixed_summary.ok());
   EXPECT_DOUBLE_EQ(fixed_summary->epsilon, 0.5);
+}
+
+TEST(ReviewSummarizerTest, AutoEpsilonProbesRespectMemoryLimit) {
+  // The elbow probes run before the solve graph, and the widest one
+  // (eps = 2.0) is the largest graph the call builds. A limit that admits
+  // the solve graph at the chosen eps but not that probe must fail the
+  // call rather than let the probe allocate past the bound.
+  CellPhoneCorpusOptions corpus_options;
+  corpus_options.scale = 0.04;
+  Corpus corpus = GenerateCellPhoneCorpus(corpus_options);
+  const Item& item = corpus.items[0];
+  ReviewSummarizerOptions options;
+  options.auto_epsilon = true;
+  options.granularity = SummaryGranularity::kPairs;
+  auto unlimited =
+      ReviewSummarizer(&corpus.ontology, options).Summarize(item, 3);
+  ASSERT_TRUE(unlimited.ok());
+
+  auto graph_bytes = [&](double eps) {
+    PairDistance distance(&corpus.ontology, eps);
+    ItemGraph built =
+        TryBuildItemGraph(distance, item, SummaryGranularity::kPairs).value();
+    return CoverageGraph::EstimateBytes(
+        built.graph.num_edges(),
+        static_cast<size_t>(built.graph.num_candidates()),
+        static_cast<size_t>(built.graph.num_targets()), /*weighted=*/false);
+  };
+  const size_t chosen_bytes = graph_bytes(unlimited->epsilon);
+  ASSERT_LT(chosen_bytes, graph_bytes(2.0));
+
+  options.max_memory_bytes = chosen_bytes;
+  auto limited = ReviewSummarizer(&corpus.ontology, options).Summarize(item, 3);
+  EXPECT_EQ(limited.status().code(), StatusCode::kResourceExhausted);
+  // The same limit admits the solve graph itself when eps is fixed.
+  options.auto_epsilon = false;
+  options.epsilon = unlimited->epsilon;
+  EXPECT_TRUE(
+      ReviewSummarizer(&corpus.ontology, options).Summarize(item, 3).ok());
 }
 
 TEST(ReviewSummarizerTest, ToJsonIsWellFormed) {

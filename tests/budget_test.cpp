@@ -100,7 +100,8 @@ Item SmallItem(const Ontology& onto) {
 TEST(BudgetCancellationTest, GreedyEagerStopsCancelled) {
   Instance inst = MakeInstance(11, 60);
   PairDistance dist(&inst.ontology, 0.5);
-  CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
   CancellationFlag flag;
   flag.Cancel();
   auto result = GreedySummarizer().Summarize(graph, 10,
@@ -112,7 +113,8 @@ TEST(BudgetCancellationTest, GreedyEagerStopsCancelled) {
 TEST(BudgetCancellationTest, GreedyLazyStopsCancelled) {
   Instance inst = MakeInstance(12, 60);
   PairDistance dist(&inst.ontology, 0.5);
-  CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
   GreedyOptions options;
   options.heap = GreedyOptions::Heap::kLazy;
   CancellationFlag flag;
@@ -126,7 +128,8 @@ TEST(BudgetCancellationTest, GreedyLazyStopsCancelled) {
 TEST(BudgetCancellationTest, IlpStopsCancelled) {
   Instance inst = MakeInstance(13, 40);
   PairDistance dist(&inst.ontology, 0.5);
-  CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
   CancellationFlag flag;
   flag.Cancel();
   auto result = IlpSummarizer().Summarize(graph, 5, CancelledBudget(&flag));
@@ -137,7 +140,8 @@ TEST(BudgetCancellationTest, IlpStopsCancelled) {
 TEST(BudgetCancellationTest, RandomizedRoundingStopsCancelled) {
   Instance inst = MakeInstance(14, 40);
   PairDistance dist(&inst.ontology, 0.5);
-  CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
   CancellationFlag flag;
   flag.Cancel();
   auto result = RandomizedRoundingSummarizer().Summarize(
@@ -149,7 +153,8 @@ TEST(BudgetCancellationTest, RandomizedRoundingStopsCancelled) {
 TEST(BudgetCancellationTest, LocalSearchStopsCancelled) {
   Instance inst = MakeInstance(15, 60);
   PairDistance dist(&inst.ontology, 0.5);
-  CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
   CancellationFlag flag;
   flag.Cancel();
   auto result = LocalSearchSummarizer().Summarize(graph, 10,
@@ -161,7 +166,8 @@ TEST(BudgetCancellationTest, LocalSearchStopsCancelled) {
 TEST(BudgetCancellationTest, ExhaustiveStopsCancelled) {
   Instance inst = MakeInstance(16, 18);
   PairDistance dist(&inst.ontology, 0.5);
-  CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
   CancellationFlag flag;
   flag.Cancel();
   auto result = ExhaustiveSummarizer().Summarize(graph, 6,
@@ -173,7 +179,8 @@ TEST(BudgetCancellationTest, ExhaustiveStopsCancelled) {
 TEST(BudgetCancellationTest, IlpCancelledMidSolveFromAnotherThread) {
   Instance inst = MakeInstance(17, 160);
   PairDistance dist(&inst.ontology, 0.5);
-  CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
   CancellationFlag flag;
   std::thread canceller([&flag]() {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -196,7 +203,8 @@ TEST(BudgetCancellationTest, IlpCancelledMidSolveFromAnotherThread) {
 TEST(BudgetDeadlineTest, ExpiredDeadlineRejectsAllSolvers) {
   Instance inst = MakeInstance(21, 40);
   PairDistance dist(&inst.ontology, 0.5);
-  CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
   ExecutionBudget expired = ExecutionBudget::FromDeadlineMs(-1.0);
   EXPECT_EQ(GreedySummarizer().Summarize(graph, 5, expired).status().code(),
             StatusCode::kDeadlineExceeded);
@@ -217,7 +225,8 @@ TEST(BudgetDeadlineTest, ExpiredDeadlineRejectsAllSolvers) {
 TEST(BudgetDeadlineTest, TinyDeadlineOnLargeIlpReturnsPromptly) {
   Instance inst = MakeInstance(22, 160);
   PairDistance dist(&inst.ontology, 0.5);
-  CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
   Stopwatch watch;
   auto result = IlpSummarizer().Summarize(
       graph, 8, ExecutionBudget::FromDeadlineMs(25.0));
@@ -241,7 +250,8 @@ TEST(BudgetDeadlineTest, TinyDeadlineOnLargeIlpReturnsPromptly) {
 TEST(BudgetWorkTest, GreedyReturnsPartialIncumbentFlaggedApproximate) {
   Instance inst = MakeInstance(31, 80);
   PairDistance dist(&inst.ontology, 0.5);
-  CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
   ExecutionBudget budget;
   budget.SetMaxWork(1);  // trips after the first round's key updates
   auto result = GreedySummarizer().Summarize(graph, 20, budget);
@@ -255,7 +265,8 @@ TEST(BudgetWorkTest, GreedyReturnsPartialIncumbentFlaggedApproximate) {
 TEST(BudgetWorkTest, WorkBudgetIsDeterministic) {
   Instance inst = MakeInstance(32, 80);
   PairDistance dist(&inst.ontology, 0.5);
-  CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
   ExecutionBudget budget;
   budget.SetMaxWork(3);
   auto a = GreedySummarizer().Summarize(graph, 20, budget);
@@ -271,7 +282,8 @@ TEST(BudgetWorkTest, WorkBudgetIsDeterministic) {
 TEST(BudgetWorkTest, ExhaustiveRefusesPartialEnumeration) {
   Instance inst = MakeInstance(33, 20);
   PairDistance dist(&inst.ontology, 0.5);
-  CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
   ExecutionBudget budget;
   budget.SetMaxWork(2000);  // C(20, 10) = 184756 combinations, far more
   auto result = ExhaustiveSummarizer().Summarize(graph, 10, budget);
@@ -514,8 +526,11 @@ TEST(ItemSummaryJsonTest, EscapesDisplayAndRendersDiagnostics) {
   EXPECT_NE(json.find("\\\"hi\\\""), std::string::npos) << json;
   EXPECT_NE(json.find("\\n"), std::string::npos) << json;
   EXPECT_NE(json.find("\\\\slash"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"degraded\":true"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"algorithm\":\"Greedy\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"diagnostics\":{\"degraded\":true,"
+                      "\"algorithm\":\"Greedy\","
+                      "\"stop_reason\":\"DeadlineExceeded\""),
+            std::string::npos)
+      << json;
   // No raw control characters or unescaped quotes inside string values.
   for (char c : json) EXPECT_GE(static_cast<unsigned char>(c), 0x20u);
 }

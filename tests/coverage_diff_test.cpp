@@ -4,7 +4,8 @@
 // shares no code with the production path (its ancestor distances come
 // from a fresh upward BFS per query, its edges from an O(|U|·|W|) scan).
 // Every comparison runs at 1, 2 and 8 threads and demands identical
-// graphs — same edges, same weights, same CSR order.
+// graphs — same edges, same weights, same CSR order. The memory gate is
+// checked at its exact boundary against the same unlimited builds.
 
 #include <algorithm>
 #include <cmath>
@@ -204,7 +205,7 @@ std::vector<ConceptSentimentPair> RandomPairs(Rng& rng, const Ontology& onto,
 }
 
 /// Partitions pair indices into random contiguous groups of size 1..4 (the
-/// shape BuildItemGraph produces: contiguous runs in reading order).
+/// shape TryBuildItemGraph produces: contiguous runs in reading order).
 std::vector<std::vector<int>> RandomGroups(Rng& rng, size_t num_pairs) {
   std::vector<std::vector<int>> groups;
   size_t i = 0;
@@ -237,7 +238,9 @@ TEST(CoverageDiffTest, PairsMatchNaiveReferenceRandomized) {
     for (int threads : kThreadCounts) {
       SCOPED_TRACE("round " + std::to_string(round) + " threads " +
                    std::to_string(threads));
-      CoverageGraph graph = CoverageGraph::BuildForPairs(dist, pairs, threads);
+      CoverageGraph graph =
+          CoverageGraph::TryBuildForPairs(dist, pairs, {.num_threads = threads})
+              .value();
       ASSERT_EQ(graph.num_candidates(), num_pairs);
       ASSERT_EQ(graph.num_targets(), num_pairs);
       ExpectEdgesEqual(expected, graph, "pairs");
@@ -260,7 +263,9 @@ TEST(CoverageDiffTest, GroupsMatchNaiveReferenceRandomized) {
       SCOPED_TRACE("round " + std::to_string(round) + " threads " +
                    std::to_string(threads));
       CoverageGraph graph =
-          CoverageGraph::BuildForGroups(dist, pairs, groups, threads);
+          CoverageGraph::TryBuildForGroups(dist, pairs, groups,
+                                           {.num_threads = threads})
+              .value();
       ASSERT_EQ(graph.num_candidates(), static_cast<int>(groups.size()));
       ASSERT_EQ(graph.num_targets(), num_pairs);
       ExpectEdgesEqual(expected, graph, "groups");
@@ -299,8 +304,10 @@ TEST(CoverageDiffTest, ExactEpsilonBoundaryIsCovered) {
   EXPECT_FALSE(has_edge(0, 4));
   for (int threads : kThreadCounts) {
     SCOPED_TRACE("threads " + std::to_string(threads));
+    const CoverageBuildOptions options{.num_threads = threads};
     ExpectEdgesEqual(expected,
-                     CoverageGraph::BuildForPairs(dist, pairs, threads),
+                     CoverageGraph::TryBuildForPairs(dist, pairs, options)
+                         .value(),
                      "eps boundary");
   }
 }
@@ -324,7 +331,9 @@ TEST(CoverageDiffTest, MultiParentDiamondUsesShortestPath) {
   std::vector<RefEdge> expected = NaivePairsEdges(onto, pairs, 0.5);
   for (int threads : kThreadCounts) {
     SCOPED_TRACE("threads " + std::to_string(threads));
-    CoverageGraph graph = CoverageGraph::BuildForPairs(dist, pairs, threads);
+    CoverageGraph graph =
+        CoverageGraph::TryBuildForPairs(dist, pairs, {.num_threads = threads})
+            .value();
     ExpectEdgesEqual(expected, graph, "diamond");
     // Root reaches d in 1 hop (direct edge), not 3 (via a, b).
     bool found = false;
@@ -347,21 +356,24 @@ TEST(CoverageDiffTest, DegenerateInstances) {
   PairDistance dist(&onto, 0.5);
   for (int threads : kThreadCounts) {
     SCOPED_TRACE("threads " + std::to_string(threads));
+    const CoverageBuildOptions options{.num_threads = threads};
     // Empty instance.
-    CoverageGraph empty = CoverageGraph::BuildForPairs(dist, {}, threads);
+    CoverageGraph empty =
+        CoverageGraph::TryBuildForPairs(dist, {}, options).value();
     EXPECT_EQ(empty.num_candidates(), 0);
     EXPECT_EQ(empty.num_targets(), 0);
     EXPECT_EQ(empty.num_edges(), 0u);
     // Single self-covering pair (fewer targets than threads).
     std::vector<ConceptSentimentPair> one{{a, 0.5}};
-    CoverageGraph single = CoverageGraph::BuildForPairs(dist, one, threads);
+    CoverageGraph single =
+        CoverageGraph::TryBuildForPairs(dist, one, options).value();
     EXPECT_EQ(single.num_candidates(), 1);
     ASSERT_EQ(single.EdgesOf(0).size(), 1u);
     EXPECT_EQ(single.EdgesOf(0)[0].endpoint, 0);
     EXPECT_DOUBLE_EQ(single.EdgesOf(0)[0].weight, 0.0);
     // Groups over an empty pair set.
     CoverageGraph groups =
-        CoverageGraph::BuildForGroups(dist, {}, {}, threads);
+        CoverageGraph::TryBuildForGroups(dist, {}, {}, options).value();
     EXPECT_EQ(groups.num_candidates(), 0);
     EXPECT_EQ(groups.num_targets(), 0);
   }
@@ -379,22 +391,25 @@ TEST(CoverageDiffTest, ThreadCountsProduceIdenticalGraphs) {
   for (double& weight : weights) weight = 1.0 + rng.NextDouble();
   PairDistance dist(&onto, 0.375);
 
-  CoverageGraph base = CoverageGraph::BuildForPairs(dist, pairs, 1);
+  CoverageGraph base = CoverageGraph::TryBuildForPairs(dist, pairs).value();
   CoverageGraph base_groups =
-      CoverageGraph::BuildForGroups(dist, pairs, groups, 1);
+      CoverageGraph::TryBuildForGroups(dist, pairs, groups).value();
   std::vector<RefEdge> base_edges = GraphEdges(base);
   std::vector<RefEdge> base_group_edges = GraphEdges(base_groups);
   for (int threads : {0, 2, 3, 8}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
+    const CoverageBuildOptions options{.num_threads = threads};
     ExpectEdgesEqual(base_edges,
-                     CoverageGraph::BuildForPairs(dist, pairs, threads),
+                     CoverageGraph::TryBuildForPairs(dist, pairs, options)
+                         .value(),
                      "pairs vs serial");
     ExpectEdgesEqual(
         base_group_edges,
-        CoverageGraph::BuildForGroups(dist, pairs, groups, threads),
+        CoverageGraph::TryBuildForGroups(dist, pairs, groups, options).value(),
         "groups vs serial");
     CoverageGraph weighted =
-        CoverageGraph::BuildForPairsWeighted(dist, pairs, weights, threads);
+        CoverageGraph::TryBuildForPairsWeighted(dist, pairs, weights, options)
+            .value();
     ExpectEdgesEqual(base_edges, weighted, "weighted vs serial");
     for (size_t w = 0; w < weights.size(); ++w) {
       ASSERT_DOUBLE_EQ(weighted.target_weight(static_cast<int>(w)),
@@ -405,8 +420,95 @@ TEST(CoverageDiffTest, ThreadCountsProduceIdenticalGraphs) {
     for (int u = 0; u < base.num_candidates(); u += 7) selection.push_back(u);
     EXPECT_DOUBLE_EQ(
         base.CostOfSelection(selection),
-        CoverageGraph::BuildForPairs(dist, pairs, threads)
+        CoverageGraph::TryBuildForPairs(dist, pairs, options)
+            .value()
             .CostOfSelection(selection));
+  }
+}
+
+void ExpectGraphsIdentical(const CoverageGraph& expected,
+                           const CoverageGraph& actual, const char* context) {
+  ASSERT_EQ(expected.num_candidates(), actual.num_candidates()) << context;
+  ASSERT_EQ(expected.num_targets(), actual.num_targets()) << context;
+  ExpectEdgesEqual(GraphEdges(expected), actual, context);
+  for (int w = 0; w < expected.num_targets(); ++w) {
+    CoverageGraph::EdgeRange want = expected.CoveringOf(w);
+    CoverageGraph::EdgeRange got = actual.CoveringOf(w);
+    ASSERT_EQ(want.size(), got.size()) << context << " target " << w;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(want[i].endpoint, got[i].endpoint) << context;
+      EXPECT_EQ(want[i].weight, got[i].weight) << context;
+    }
+    EXPECT_EQ(expected.root_distance(w), actual.root_distance(w)) << context;
+    EXPECT_EQ(expected.target_weight(w), actual.target_weight(w)) << context;
+  }
+}
+
+size_t GraphBytes(const CoverageGraph& graph, bool weighted) {
+  return CoverageGraph::EstimateBytes(
+      graph.num_edges(), static_cast<size_t>(graph.num_candidates()),
+      static_cast<size_t>(graph.num_targets()), weighted);
+}
+
+TEST(CoverageDiffTest, MemoryGateAdmitsExactEstimateAndRejectsOneByteLess) {
+  // A limit equal to the finished graph's EstimateBytes must build the
+  // same graph as an unlimited build; one byte less must be refused with
+  // kResourceExhausted before anything is allocated — for every builder
+  // and at every thread count.
+  Rng rng(512);
+  Ontology onto = RandomOntology(rng, 60, 0.2);
+  std::vector<ConceptSentimentPair> pairs = RandomPairs(rng, onto, 300);
+  std::vector<std::vector<int>> groups = RandomGroups(rng, pairs.size());
+  std::vector<double> weights(pairs.size());
+  for (double& weight : weights) weight = 1.0 + rng.NextDouble();
+  PairDistance dist(&onto, 0.25);
+
+  const CoverageGraph pairs_graph =
+      CoverageGraph::TryBuildForPairs(dist, pairs).value();
+  const CoverageGraph groups_graph =
+      CoverageGraph::TryBuildForGroups(dist, pairs, groups).value();
+  const CoverageGraph weighted_graph =
+      CoverageGraph::TryBuildForPairsWeighted(dist, pairs, weights).value();
+  ASSERT_GT(pairs_graph.num_edges(), 0u);
+  for (int threads : kThreadCounts) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    CoverageBuildOptions fits{.num_threads = threads};
+    CoverageBuildOptions short_by_one{.num_threads = threads};
+
+    fits.max_memory_bytes = GraphBytes(pairs_graph, /*weighted=*/false);
+    short_by_one.max_memory_bytes = fits.max_memory_bytes - 1;
+    Result<CoverageGraph> built =
+        CoverageGraph::TryBuildForPairs(dist, pairs, fits);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    ExpectGraphsIdentical(pairs_graph, *built, "pairs at limit");
+    EXPECT_EQ(
+        CoverageGraph::TryBuildForPairs(dist, pairs, short_by_one)
+            .status()
+            .code(),
+        StatusCode::kResourceExhausted);
+
+    fits.max_memory_bytes = GraphBytes(groups_graph, /*weighted=*/false);
+    short_by_one.max_memory_bytes = fits.max_memory_bytes - 1;
+    built = CoverageGraph::TryBuildForGroups(dist, pairs, groups, fits);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    ExpectGraphsIdentical(groups_graph, *built, "groups at limit");
+    EXPECT_EQ(
+        CoverageGraph::TryBuildForGroups(dist, pairs, groups, short_by_one)
+            .status()
+            .code(),
+        StatusCode::kResourceExhausted);
+
+    // The weighted estimate also counts the multiplicity array.
+    fits.max_memory_bytes = GraphBytes(weighted_graph, /*weighted=*/true);
+    short_by_one.max_memory_bytes = fits.max_memory_bytes - 1;
+    built = CoverageGraph::TryBuildForPairsWeighted(dist, pairs, weights, fits);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    ExpectGraphsIdentical(weighted_graph, *built, "weighted at limit");
+    EXPECT_EQ(CoverageGraph::TryBuildForPairsWeighted(dist, pairs, weights,
+                                                      short_by_one)
+                  .status()
+                  .code(),
+              StatusCode::kResourceExhausted);
   }
 }
 

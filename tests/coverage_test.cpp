@@ -34,7 +34,7 @@ TEST(CoverageGraphTest, PairsGraphEdgesMatchDefinition) {
       {onto.FindByName("b"), 0.9},   // 2: outside eps of 0 and 1
       {onto.FindByName("s"), 0.0},   // 3: unrelated branch
   };
-  CoverageGraph graph = CoverageGraph::BuildForPairs(dist, pairs);
+  CoverageGraph graph = CoverageGraph::TryBuildForPairs(dist, pairs).value();
   EXPECT_EQ(graph.num_candidates(), 4);
   EXPECT_EQ(graph.num_targets(), 4);
 
@@ -60,7 +60,7 @@ TEST(CoverageGraphTest, RootDistancesMatchDepths) {
   PairDistance dist(&onto, 0.5);
   std::vector<ConceptSentimentPair> pairs{{onto.FindByName("a"), 0.0},
                                           {onto.FindByName("b"), 0.0}};
-  CoverageGraph graph = CoverageGraph::BuildForPairs(dist, pairs);
+  CoverageGraph graph = CoverageGraph::TryBuildForPairs(dist, pairs).value();
   EXPECT_DOUBLE_EQ(graph.root_distance(0), 1.0);
   EXPECT_DOUBLE_EQ(graph.root_distance(1), 2.0);
   EXPECT_DOUBLE_EQ(graph.EmptySummaryCost(), 3.0);
@@ -72,7 +72,7 @@ TEST(CoverageGraphTest, BackwardEdgesMirrorForward) {
   std::vector<ConceptSentimentPair> pairs{{onto.FindByName("a"), 0.0},
                                           {onto.FindByName("b"), 0.1},
                                           {onto.FindByName("b"), 0.2}};
-  CoverageGraph graph = CoverageGraph::BuildForPairs(dist, pairs);
+  CoverageGraph graph = CoverageGraph::TryBuildForPairs(dist, pairs).value();
   size_t forward_total = 0, backward_total = 0;
   for (int u = 0; u < graph.num_candidates(); ++u) {
     forward_total += graph.EdgesOf(u).size();
@@ -98,7 +98,7 @@ TEST(CoverageGraphTest, CostOfSelectionMatchesBruteForce) {
                                           {onto.FindByName("b"), 0.2},
                                           {onto.FindByName("b"), 0.9},
                                           {onto.FindByName("s"), 0.0}};
-  CoverageGraph graph = CoverageGraph::BuildForPairs(dist, pairs);
+  CoverageGraph graph = CoverageGraph::TryBuildForPairs(dist, pairs).value();
   for (int u = 0; u < 4; ++u) {
     std::vector<ConceptSentimentPair> summary{pairs[static_cast<size_t>(u)]};
     EXPECT_DOUBLE_EQ(graph.CostOfSelection({u}),
@@ -119,7 +119,8 @@ TEST(CoverageGraphTest, GroupsAggregateByMinimum) {
   };
   // Sentence 0 holds pairs {0, 1}; sentence 1 holds {2}.
   std::vector<std::vector<int>> groups{{0, 1}, {2}};
-  CoverageGraph graph = CoverageGraph::BuildForGroups(dist, pairs, groups);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForGroups(dist, pairs, groups).value();
   EXPECT_EQ(graph.num_candidates(), 2);
   EXPECT_EQ(graph.num_targets(), 3);
 
@@ -148,7 +149,8 @@ TEST(CoverageGraphTest, GroupSelectionCostMatchesPairUnion) {
       {onto.FindByName("a"), -0.2},
   };
   std::vector<std::vector<int>> groups{{0, 1}, {2}, {3, 4}};
-  CoverageGraph graph = CoverageGraph::BuildForGroups(dist, pairs, groups);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForGroups(dist, pairs, groups).value();
 
   auto union_cost = [&](const std::vector<int>& gs) {
     std::vector<ConceptSentimentPair> summary;
@@ -171,7 +173,8 @@ TEST(CoverageGraphTest, PairNotInAnyGroupIsTargetOnly) {
   std::vector<ConceptSentimentPair> pairs{{onto.FindByName("a"), 0.0},
                                           {onto.FindByName("b"), 0.1}};
   std::vector<std::vector<int>> groups{{0}};  // pair 1 is target-only
-  CoverageGraph graph = CoverageGraph::BuildForGroups(dist, pairs, groups);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForGroups(dist, pairs, groups).value();
   EXPECT_EQ(graph.num_candidates(), 1);
   EXPECT_EQ(graph.num_targets(), 2);
   // Group 0 still covers target 1 through pair 0.
@@ -195,7 +198,7 @@ TEST(CoverageGraphTest, RandomizedAgainstBruteForce) {
           1 + rng.NextUint64(onto.num_concepts() - 1));
       pairs.push_back({c, rng.NextDouble(-1.0, 1.0)});
     }
-    CoverageGraph graph = CoverageGraph::BuildForPairs(dist, pairs);
+    CoverageGraph graph = CoverageGraph::TryBuildForPairs(dist, pairs).value();
     for (int s = 0; s < 5; ++s) {
       std::vector<size_t> chosen = rng.SampleWithoutReplacement(40, 4);
       std::vector<int> selection(chosen.begin(), chosen.end());
@@ -212,7 +215,7 @@ TEST(CoverageGraphTest, AverageDegreeReported) {
   PairDistance dist(&onto, 0.5);
   std::vector<ConceptSentimentPair> pairs{{onto.FindByName("a"), 0.0},
                                           {onto.FindByName("b"), 0.1}};
-  CoverageGraph graph = CoverageGraph::BuildForPairs(dist, pairs);
+  CoverageGraph graph = CoverageGraph::TryBuildForPairs(dist, pairs).value();
   EXPECT_GT(graph.AverageCandidateDegree(), 0.0);
 }
 

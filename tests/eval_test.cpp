@@ -108,8 +108,9 @@ TEST(ElbowTest, CoverageNonDecreasingInEpsilon) {
     pairs.push_back({battery, -0.5 + 0.02 * i});
     pairs.push_back({onto.FindByName("camera"), 0.1 * (i % 3)});
   }
-  ElbowResult result = SelectEpsilonByElbow(
-      onto, pairs, 3, {0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0});
+  ElbowResult result =
+      SelectEpsilonByElbow(onto, pairs, 3, {0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0})
+          .value();
   ASSERT_EQ(result.covered_fraction.size(), 7u);
   for (size_t i = 1; i < result.covered_fraction.size(); ++i) {
     EXPECT_GE(result.covered_fraction[i],
@@ -122,7 +123,7 @@ TEST(ElbowTest, CoverageNonDecreasingInEpsilon) {
 TEST(ElbowTest, SingleEpsilonChosen) {
   Ontology onto = BuildChain();
   std::vector<ConceptSentimentPair> pairs{{onto.FindByName("a"), 0.5}};
-  ElbowResult result = SelectEpsilonByElbow(onto, pairs, 1, {0.5});
+  ElbowResult result = SelectEpsilonByElbow(onto, pairs, 1, {0.5}).value();
   EXPECT_DOUBLE_EQ(result.chosen_epsilon, 0.5);
 }
 

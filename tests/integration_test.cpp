@@ -57,7 +57,8 @@ TEST_F(QuantitativeShape, Figure5CostOrderingHolds) {
         SummaryGranularity::kReviews}) {
     for (const Item& item : corpus_->items) {
       Item capped = TruncateToPairBudget(item, 150);
-      ItemGraph graph = BuildItemGraph(distance, capped, granularity);
+      ItemGraph graph =
+          TryBuildItemGraph(distance, capped, granularity).value();
       int effective_k = std::min(k, graph.graph.num_candidates());
       auto ilp = IlpSummarizer().Summarize(graph.graph, effective_k);
       auto rr = RandomizedRoundingSummarizer().Summarize(graph.graph,
@@ -86,7 +87,7 @@ TEST_F(QuantitativeShape, Figure4GreedyIsFastest) {
   PairDistance distance(&corpus_->ontology, 0.5);
   Item capped = TruncateToPairBudget(corpus_->items[0], 150);
   ItemGraph graph =
-      BuildItemGraph(distance, capped, SummaryGranularity::kPairs);
+      TryBuildItemGraph(distance, capped, SummaryGranularity::kPairs).value();
   auto ilp = IlpSummarizer().Summarize(graph.graph, 5);
   auto greedy = GreedySummarizer().Summarize(graph.graph, 5);
   ASSERT_TRUE(ilp.ok());
@@ -98,7 +99,8 @@ TEST_F(QuantitativeShape, CostDecreasesInK) {
   PairDistance distance(&corpus_->ontology, 0.5);
   Item capped = TruncateToPairBudget(corpus_->items[1], 150);
   ItemGraph graph =
-      BuildItemGraph(distance, capped, SummaryGranularity::kSentences);
+      TryBuildItemGraph(distance, capped, SummaryGranularity::kSentences)
+          .value();
   GreedySummarizer greedy;
   double previous = graph.graph.EmptySummaryCost();
   for (int k = 1; k <= std::min(10, graph.graph.num_candidates()); ++k) {
@@ -152,8 +154,10 @@ TEST(QualitativeShape, ElbowLandsNearHalf) {
   Corpus corpus = GenerateDoctorCorpus(options);
   Item capped = TruncateToPairBudget(corpus.items[0], 250);
   auto pairs = PairsOf(CollectPairs(capped));
-  ElbowResult result = SelectEpsilonByElbow(
-      corpus.ontology, pairs, 8, {0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 1.0, 1.5});
+  ElbowResult result =
+      SelectEpsilonByElbow(corpus.ontology, pairs, 8,
+                           {0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 1.0, 1.5})
+          .value();
   // The generator's sentiment clusters make the knee land in the paper's
   // neighborhood of 0.5.
   EXPECT_GE(result.chosen_epsilon, 0.2);

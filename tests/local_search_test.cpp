@@ -38,7 +38,8 @@ TEST(LocalSearchTest, NeverWorseThanGreedy) {
   for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     Instance inst = MakeInstance(seed, 40);
     PairDistance dist(&inst.ontology, 0.5);
-    CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+    CoverageGraph graph =
+        CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
     auto greedy = GreedySummarizer().Summarize(graph, 5);
     auto polished = LocalSearchSummarizer().Summarize(graph, 5);
     ASSERT_TRUE(greedy.ok());
@@ -51,7 +52,8 @@ TEST(LocalSearchTest, NeverBetterThanExhaustive) {
   for (uint64_t seed : {6u, 7u, 8u}) {
     Instance inst = MakeInstance(seed, 18);
     PairDistance dist(&inst.ontology, 0.5);
-    CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+    CoverageGraph graph =
+        CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
     auto exact = ExhaustiveSummarizer().Summarize(graph, 3);
     auto polished = LocalSearchSummarizer().Summarize(graph, 3);
     ASSERT_TRUE(exact.ok());
@@ -65,7 +67,8 @@ TEST(LocalSearchTest, NeverBetterThanExhaustive) {
 TEST(LocalSearchTest, ReportedCostMatchesSelection) {
   Instance inst = MakeInstance(9, 35);
   PairDistance dist(&inst.ontology, 0.5);
-  CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
   auto result = LocalSearchSummarizer().Summarize(graph, 4);
   ASSERT_TRUE(result.ok());
   EXPECT_NEAR(result->cost, graph.CostOfSelection(result->selected), 1e-9);
@@ -77,7 +80,8 @@ TEST(LocalSearchTest, ReportedCostMatchesSelection) {
 TEST(LocalSearchTest, LocalOptimumHasNoImprovingSwap) {
   Instance inst = MakeInstance(10, 24);
   PairDistance dist(&inst.ontology, 0.5);
-  CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
   auto result = LocalSearchSummarizer().Summarize(graph, 3);
   ASSERT_TRUE(result.ok());
   // Brute-force verify: no single swap improves the final selection.
@@ -96,7 +100,8 @@ TEST(LocalSearchTest, LocalOptimumHasNoImprovingSwap) {
 TEST(LocalSearchTest, PassBudgetRespected) {
   Instance inst = MakeInstance(11, 40);
   PairDistance dist(&inst.ontology, 0.5);
-  CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
   LocalSearchOptions options;
   options.max_passes = 0;  // no polish: must equal greedy exactly
   auto greedy = GreedySummarizer().Summarize(graph, 5);
@@ -114,7 +119,8 @@ TEST(LocalSearchTest, WorksOnWeightedGraphs) {
   std::vector<double> weights(inst.pairs.size(), 1.0);
   weights[0] = 25.0;  // pair 0 is suddenly very important
   CoverageGraph graph =
-      CoverageGraph::BuildForPairsWeighted(dist, inst.pairs, weights);
+      CoverageGraph::TryBuildForPairsWeighted(dist, inst.pairs, weights)
+          .value();
   auto result = LocalSearchSummarizer().Summarize(graph, 2);
   ASSERT_TRUE(result.ok());
   EXPECT_NEAR(result->cost, graph.CostOfSelection(result->selected), 1e-9);

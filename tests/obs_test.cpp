@@ -238,7 +238,8 @@ TEST(TraceTest, NestingBalancedOnEarlyBudgetReturn) {
   if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   Instance inst = MakeInstance(11, 120);
   PairDistance dist(&inst.ontology, 0.5);
-  CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
 
   obs::SolveTrace trace;
   obs::Tracer::Scope scope(&trace);
@@ -294,7 +295,8 @@ TEST(TraceTest, GreedyDistanceEvaluationsDeterministicAcrossRuns) {
   if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   Instance inst = MakeInstance(5, 80);
   PairDistance dist(&inst.ontology, 0.5);
-  CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
   GreedySummarizer greedy;
 
   int64_t first_run = -1;
@@ -333,9 +335,17 @@ TEST(FacadeStatsTest, SummarizePopulatesStats) {
   std::string json = summary->ToJson();
   EXPECT_NE(json.find("\"diagnostics\":{"), std::string::npos);
   EXPECT_NE(json.find("\"stats\":{"), std::string::npos);
-  // Deprecated top-level aliases still present.
-  EXPECT_NE(json.find("\"degraded\":"), std::string::npos);
-  EXPECT_NE(json.find("\"budget_spent_ms\":"), std::string::npos);
+  // Each diagnostic key appears once, inside "diagnostics" — never as a
+  // top-level alias.
+  for (const char* key :
+       {"\"degraded\":", "\"algorithm\":", "\"stop_reason\":",
+        "\"budget_spent_ms\":", "\"solver_seconds\":",
+        "\"validation_warnings\":"}) {
+    size_t first = json.find(key);
+    ASSERT_NE(first, std::string::npos) << key;
+    EXPECT_GT(first, json.find("\"diagnostics\":{")) << key;
+    EXPECT_EQ(json.find(key, first + 1), std::string::npos) << key;
+  }
 }
 
 TEST(FacadeStatsTest, CollectStatsOffLeavesStatsEmpty) {

@@ -137,7 +137,8 @@ TEST_P(CoverageProperty, CostIsSubmodular) {
 
 TEST_P(CoverageProperty, GraphCostsMatchBruteForce) {
   PairDistance distance(&ontology_, epsilon_);
-  CoverageGraph graph = CoverageGraph::BuildForPairs(distance, pairs_);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForPairs(distance, pairs_).value();
   EXPECT_NEAR(graph.EmptySummaryCost(), SummaryCost(distance, {}, pairs_),
               1e-9);
   for (int trial = 0; trial < 6; ++trial) {
@@ -166,7 +167,7 @@ TEST_P(CoverageProperty, GroupGraphEqualsPairUnionSemantics) {
     i += size;
   }
   CoverageGraph graph =
-      CoverageGraph::BuildForGroups(distance, pairs_, groups);
+      CoverageGraph::TryBuildForGroups(distance, pairs_, groups).value();
   for (int trial = 0; trial < 6; ++trial) {
     size_t count = 1 + rng_.NextUint64(3);
     auto chosen = rng_.SampleWithoutReplacement(groups.size(),
@@ -188,7 +189,8 @@ TEST_P(CoverageProperty, GreedySatisfiesWolseyBound) {
   // k' = floor(k / H(Δ·n)). For these sizes k' is 1, so compare against
   // the exhaustive optimum with a single representative.
   PairDistance distance(&ontology_, epsilon_);
-  CoverageGraph graph = CoverageGraph::BuildForPairs(distance, pairs_);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForPairs(distance, pairs_).value();
   const int k = 6;
   int delta_n = ontology_.max_depth() * static_cast<int>(pairs_.size());
   int k_prime =
@@ -206,7 +208,8 @@ TEST_P(CoverageProperty, IlpMatchesExhaustive) {
   PairDistance distance(&ontology_, epsilon_);
   // Shrink to keep the exhaustive oracle cheap.
   std::vector<ConceptSentimentPair> small(pairs_.begin(), pairs_.begin() + 14);
-  CoverageGraph graph = CoverageGraph::BuildForPairs(distance, small);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForPairs(distance, small).value();
   for (int k : {1, 2, 3}) {
     auto ilp = IlpSummarizer().Summarize(graph, k);
     auto exact = ExhaustiveSummarizer().Summarize(graph, k);
@@ -220,7 +223,8 @@ TEST_P(CoverageProperty, AlgorithmCostOrdering) {
   // exhaustive <= {greedy, RR} <= empty, on the same instance.
   PairDistance distance(&ontology_, epsilon_);
   std::vector<ConceptSentimentPair> small(pairs_.begin(), pairs_.begin() + 16);
-  CoverageGraph graph = CoverageGraph::BuildForPairs(distance, small);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForPairs(distance, small).value();
   const int k = 3;
   auto exact = ExhaustiveSummarizer().Summarize(graph, k);
   auto greedy = GreedySummarizer().Summarize(graph, k);
@@ -241,10 +245,11 @@ TEST_P(CoverageProperty, DedupePreservesCosts) {
   for (auto& pair : gridded) {
     pair.sentiment = std::round(pair.sentiment * 4.0) / 4.0;
   }
-  CoverageGraph full = CoverageGraph::BuildForPairs(distance, gridded);
+  CoverageGraph full =
+      CoverageGraph::TryBuildForPairs(distance, gridded).value();
   DedupedPairs deduped = DedupePairs(gridded, 1e-9);
-  CoverageGraph compact = CoverageGraph::BuildForPairsWeighted(
-      distance, deduped.pairs, deduped.weights);
+  CoverageGraph compact = CoverageGraph::TryBuildForPairsWeighted(
+      distance, deduped.pairs, deduped.weights).value();
   for (int k : {1, 2, 4}) {
     auto a = GreedySummarizer().Summarize(full, std::min(k, full.num_candidates()));
     auto b = GreedySummarizer().Summarize(

@@ -128,11 +128,12 @@ TEST_P(SolverSimdDiffTest, GraphBuildIsBackendInvariant) {
   CoverageGraph scalar_graph;
   {
     ScopedBackend backend(simd::Backend::kScalar);
-    scalar_graph = CoverageGraph::BuildForPairs(distance, pairs);
+    scalar_graph = CoverageGraph::TryBuildForPairs(distance, pairs).value();
   }
   {
     ScopedBackend backend(simd::Backend::kAvx2);
-    CoverageGraph vec_graph = CoverageGraph::BuildForPairs(distance, pairs);
+    CoverageGraph vec_graph =
+        CoverageGraph::TryBuildForPairs(distance, pairs).value();
     ExpectGraphsIdentical(scalar_graph, vec_graph);
   }
 }
@@ -140,7 +141,8 @@ TEST_P(SolverSimdDiffTest, GraphBuildIsBackendInvariant) {
 TEST_P(SolverSimdDiffTest, AllSolversBitIdenticalAcrossBackends) {
   auto pairs = GridPairs(ontology_, GetParam() * 131 + 9, 220);
   PairDistance distance(&ontology_, /*epsilon=*/0.25);
-  CoverageGraph graph = CoverageGraph::BuildForPairs(distance, pairs);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForPairs(distance, pairs).value();
   for (int k : {1, 4, 9}) {
     std::vector<SolverRun> scalar_runs;
     {
@@ -174,7 +176,7 @@ TEST_P(SolverSimdDiffTest, WeightedGraphsBitIdenticalAcrossBackends) {
   for (auto& w : weights) w = static_cast<double>(1 + rng.NextUint64(4));
   PairDistance distance(&ontology_, /*epsilon=*/0.25);
   CoverageGraph graph =
-      CoverageGraph::BuildForPairsWeighted(distance, pairs, weights);
+      CoverageGraph::TryBuildForPairsWeighted(distance, pairs, weights).value();
   for (int k : {2, 6}) {
     std::vector<SolverRun> scalar_runs;
     {

@@ -50,7 +50,8 @@ Instance MakeInstance(uint64_t seed, int num_pairs, int num_concepts = 60) {
 TEST(GreedyTest, RejectsBadK) {
   Instance inst = MakeInstance(1, 10);
   PairDistance dist(&inst.ontology, 0.5);
-  CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
   GreedySummarizer greedy;
   EXPECT_FALSE(greedy.Summarize(graph, -1).ok());
   EXPECT_FALSE(greedy.Summarize(graph, 11).ok());
@@ -60,7 +61,8 @@ TEST(GreedyTest, RejectsBadK) {
 TEST(GreedyTest, KZeroReturnsEmptySummary) {
   Instance inst = MakeInstance(2, 10);
   PairDistance dist(&inst.ontology, 0.5);
-  CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
   auto result = GreedySummarizer().Summarize(graph, 0);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->selected.empty());
@@ -71,7 +73,8 @@ TEST(GreedyTest, CostMatchesGraphEvaluation) {
   for (uint64_t seed : {3u, 4u, 5u}) {
     Instance inst = MakeInstance(seed, 40);
     PairDistance dist(&inst.ontology, 0.5);
-    CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+    CoverageGraph graph =
+        CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
     auto result = GreedySummarizer().Summarize(graph, 6);
     ASSERT_TRUE(result.ok());
     EXPECT_NEAR(result->cost, graph.CostOfSelection(result->selected), 1e-9);
@@ -85,7 +88,8 @@ TEST(GreedyTest, EagerAndLazyAgreeOnCost) {
   for (uint64_t seed : {6u, 7u, 8u, 9u}) {
     Instance inst = MakeInstance(seed, 60);
     PairDistance dist(&inst.ontology, 0.5);
-    CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+    CoverageGraph graph =
+        CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
     GreedyOptions lazy_options;
     lazy_options.heap = GreedyOptions::Heap::kLazy;
     auto eager = GreedySummarizer().Summarize(graph, 5);
@@ -101,7 +105,8 @@ TEST(GreedyTest, EagerAndLazyAgreeOnCost) {
 TEST(GreedyTest, GreedyIsMonotoneInK) {
   Instance inst = MakeInstance(10, 50);
   PairDistance dist(&inst.ontology, 0.5);
-  CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
   GreedySummarizer greedy;
   double prev = graph.EmptySummaryCost();
   for (int k = 1; k <= 8; ++k) {
@@ -116,7 +121,8 @@ TEST(GreedyTest, PrefixProperty) {
   // Greedy with k and k+1 share the first k selections (deterministic ties).
   Instance inst = MakeInstance(11, 50);
   PairDistance dist(&inst.ontology, 0.5);
-  CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
   GreedySummarizer greedy;
   auto small = greedy.Summarize(graph, 4);
   auto large = greedy.Summarize(graph, 5);
@@ -132,7 +138,8 @@ TEST(GreedyTest, MatchesExhaustiveOnEasyInstance) {
   for (uint64_t seed : {12u, 13u, 14u}) {
     Instance inst = MakeInstance(seed, 25);
     PairDistance dist(&inst.ontology, 0.5);
-    CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+    CoverageGraph graph =
+        CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
     auto greedy = GreedySummarizer().Summarize(graph, 1);
     auto exact = ExhaustiveSummarizer().Summarize(graph, 1);
     ASSERT_TRUE(greedy.ok());
@@ -147,7 +154,8 @@ TEST(GreedyTest, WithinTheoreticalReachOfOptimal) {
   for (uint64_t seed : {15u, 16u}) {
     Instance inst = MakeInstance(seed, 18);
     PairDistance dist(&inst.ontology, 0.5);
-    CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+    CoverageGraph graph =
+        CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
     auto greedy = GreedySummarizer().Summarize(graph, 3);
     auto exact = ExhaustiveSummarizer().Summarize(graph, 3);
     ASSERT_TRUE(greedy.ok());
@@ -171,7 +179,7 @@ TEST(ExhaustiveTest, FindsObviousOptimum) {
   ASSERT_TRUE(onto.Finalize().ok());
   PairDistance dist(&onto, 0.5);
   std::vector<ConceptSentimentPair> pairs{{a, 0.0}, {b, 0.0}};
-  CoverageGraph graph = CoverageGraph::BuildForPairs(dist, pairs);
+  CoverageGraph graph = CoverageGraph::TryBuildForPairs(dist, pairs).value();
   auto result = ExhaustiveSummarizer().Summarize(graph, 1);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->selected, std::vector<int>{0});
@@ -181,7 +189,8 @@ TEST(ExhaustiveTest, FindsObviousOptimum) {
 TEST(ExhaustiveTest, RefusesHugeInstances) {
   Instance inst = MakeInstance(17, 40);
   PairDistance dist(&inst.ontology, 0.5);
-  CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
   ExhaustiveSummarizer tiny_budget(/*max_subsets=*/100);
   auto result = tiny_budget.Summarize(graph, 10);
   EXPECT_FALSE(result.ok());
@@ -194,7 +203,8 @@ TEST(IlpTest, MatchesExhaustiveOnRandomInstances) {
   for (uint64_t seed : {20u, 21u, 22u, 23u}) {
     Instance inst = MakeInstance(seed, 16);
     PairDistance dist(&inst.ontology, 0.5);
-    CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+    CoverageGraph graph =
+        CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
     for (int k : {1, 2, 3}) {
       auto ilp = IlpSummarizer().Summarize(graph, k);
       auto exact = ExhaustiveSummarizer().Summarize(graph, k);
@@ -217,7 +227,7 @@ TEST(IlpTest, SentenceGroupsMatchExhaustive) {
       groups.push_back({3 * g, 3 * g + 1, 3 * g + 2});
     }
     CoverageGraph graph =
-        CoverageGraph::BuildForGroups(dist, inst.pairs, groups);
+        CoverageGraph::TryBuildForGroups(dist, inst.pairs, groups).value();
     auto ilp = IlpSummarizer().Summarize(graph, 2);
     auto exact = ExhaustiveSummarizer().Summarize(graph, 2);
     ASSERT_TRUE(ilp.ok()) << ilp.status().ToString();
@@ -229,7 +239,8 @@ TEST(IlpTest, SentenceGroupsMatchExhaustive) {
 TEST(IlpTest, RejectsBadK) {
   Instance inst = MakeInstance(26, 8);
   PairDistance dist(&inst.ontology, 0.5);
-  CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
   EXPECT_FALSE(IlpSummarizer().Summarize(graph, -2).ok());
   EXPECT_FALSE(IlpSummarizer().Summarize(graph, 100).ok());
 }
@@ -240,7 +251,8 @@ TEST(KMedianModelTest, LpRelaxationLowerBoundsIlp) {
   for (uint64_t seed : {27u, 28u}) {
     Instance inst = MakeInstance(seed, 20);
     PairDistance dist(&inst.ontology, 0.5);
-    CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+    CoverageGraph graph =
+        CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
     const int k = 3;
     KMedianModel model = BuildKMedianModel(graph, k, /*integral_x=*/false);
     LpSolution lp = RevisedSimplex().Solve(model.problem);
@@ -256,7 +268,8 @@ TEST(KMedianModelTest, LpRelaxationLowerBoundsIlp) {
 TEST(KMedianModelTest, IntegralCostFlagDetected) {
   Instance inst = MakeInstance(29, 12);
   PairDistance dist(&inst.ontology, 0.5);
-  CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
   KMedianModel model = BuildKMedianModel(graph, 2, false);
   EXPECT_TRUE(model.integral_costs);  // hop distances are integers
 }
@@ -267,7 +280,8 @@ TEST(RandomizedRoundingTest, CostBetweenOptimalAndEmpty) {
   for (uint64_t seed : {30u, 31u}) {
     Instance inst = MakeInstance(seed, 20);
     PairDistance dist(&inst.ontology, 0.5);
-    CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+    CoverageGraph graph =
+        CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
     const int k = 3;
     auto rr = RandomizedRoundingSummarizer().Summarize(graph, k);
     auto exact = ExhaustiveSummarizer().Summarize(graph, k);
@@ -284,7 +298,8 @@ TEST(RandomizedRoundingTest, CostBetweenOptimalAndEmpty) {
 TEST(RandomizedRoundingTest, DeterministicForSeed) {
   Instance inst = MakeInstance(32, 25);
   PairDistance dist(&inst.ontology, 0.5);
-  CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
   RandomizedRoundingOptions options;
   options.seed = 5;
   auto a = RandomizedRoundingSummarizer(options).Summarize(graph, 4);
@@ -297,7 +312,8 @@ TEST(RandomizedRoundingTest, DeterministicForSeed) {
 TEST(RandomizedRoundingTest, TopKStrategyIsDeterministicAndSound) {
   Instance inst = MakeInstance(34, 22);
   PairDistance dist(&inst.ontology, 0.5);
-  CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
   RandomizedRoundingOptions options;
   options.strategy = RoundingStrategy::kTopK;
   RandomizedRoundingSummarizer topk(options);
@@ -317,7 +333,8 @@ TEST(RandomizedRoundingTest, TopKStrategyIsDeterministicAndSound) {
 TEST(RandomizedRoundingTest, MoreTrialsNeverWorse) {
   Instance inst = MakeInstance(33, 25);
   PairDistance dist(&inst.ontology, 0.5);
-  CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
   RandomizedRoundingOptions one;
   one.seed = 5;
   one.trials = 1;
@@ -337,7 +354,8 @@ TEST(DegenerateGraphTest, AllAlgorithmsHandleZeroCandidates) {
   Instance inst = MakeInstance(50, 10);
   PairDistance dist(&inst.ontology, 0.5);
   CoverageGraph graph =
-      CoverageGraph::BuildForPairs(dist, std::vector<ConceptSentimentPair>{});
+      CoverageGraph::TryBuildForPairs(dist, std::vector<ConceptSentimentPair>{})
+          .value();
   EXPECT_EQ(graph.num_candidates(), 0);
   EXPECT_DOUBLE_EQ(graph.EmptySummaryCost(), 0.0);
   auto greedy = GreedySummarizer().Summarize(graph, 0);
@@ -357,7 +375,8 @@ TEST(DegenerateGraphTest, AllAlgorithmsHandleZeroCandidates) {
 TEST(DegenerateGraphTest, KEqualsCandidateCount) {
   Instance inst = MakeInstance(51, 12);
   PairDistance dist(&inst.ontology, 0.5);
-  CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
   const int k = graph.num_candidates();
   auto greedy = GreedySummarizer().Summarize(graph, k);
   auto ilp = IlpSummarizer().Summarize(graph, k);
@@ -381,7 +400,7 @@ TEST(DegenerateGraphTest, SingleCandidate) {
   ASSERT_TRUE(onto.Finalize().ok());
   PairDistance dist(&onto, 0.5);
   std::vector<ConceptSentimentPair> pairs{{a, 0.5}};
-  CoverageGraph graph = CoverageGraph::BuildForPairs(dist, pairs);
+  CoverageGraph graph = CoverageGraph::TryBuildForPairs(dist, pairs).value();
   for (int k : {0, 1}) {
     auto greedy = GreedySummarizer().Summarize(graph, k);
     ASSERT_TRUE(greedy.ok());
@@ -409,7 +428,8 @@ TEST(ReductionSolverTest, IlpDecidesSetCover) {
         std::pair<SetCoverInstance, bool>{uncoverable, false}}) {
     KPairsReduction red = BuildKPairsReduction(instance);
     PairDistance dist(&red.ontology, 0.1);
-    CoverageGraph graph = CoverageGraph::BuildForPairs(dist, red.pairs);
+    CoverageGraph graph =
+        CoverageGraph::TryBuildForPairs(dist, red.pairs).value();
     auto result = IlpSummarizer().Summarize(graph, red.k);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     if (expect_cover) {
@@ -428,7 +448,8 @@ TEST(ReductionSolverTest, GreedySolvesEasyCovers) {
   instance.k = 2;
   KPairsReduction red = BuildKPairsReduction(instance);
   PairDistance dist(&red.ontology, 0.1);
-  CoverageGraph graph = CoverageGraph::BuildForPairs(dist, red.pairs);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForPairs(dist, red.pairs).value();
   auto result = GreedySummarizer().Summarize(graph, red.k);
   ASSERT_TRUE(result.ok());
   EXPECT_NEAR(result->cost, red.target, 1e-9);

@@ -73,10 +73,11 @@ TEST(WeightedGraphTest, WeightedCostEqualsDuplicatedCost) {
   for (uint64_t seed : {2u, 3u, 4u}) {
     Instance inst = MakeGriddedInstance(seed, 60);
     PairDistance dist(&inst.ontology, 0.5);
-    CoverageGraph full = CoverageGraph::BuildForPairs(dist, inst.pairs);
+    CoverageGraph full =
+        CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
     DedupedPairs deduped = DedupePairs(inst.pairs, 1e-6);
-    CoverageGraph compact = CoverageGraph::BuildForPairsWeighted(
-        dist, deduped.pairs, deduped.weights);
+    CoverageGraph compact = CoverageGraph::TryBuildForPairsWeighted(
+        dist, deduped.pairs, deduped.weights).value();
 
     EXPECT_LE(compact.num_edges(), full.num_edges());
     EXPECT_NEAR(compact.EmptySummaryCost(), full.EmptySummaryCost(), 1e-9);
@@ -96,8 +97,8 @@ TEST(WeightedGraphTest, IlpRespectsWeights) {
   Instance inst = MakeGriddedInstance(5, 30);
   PairDistance dist(&inst.ontology, 0.5);
   DedupedPairs deduped = DedupePairs(inst.pairs, 1e-6);
-  CoverageGraph compact = CoverageGraph::BuildForPairsWeighted(
-      dist, deduped.pairs, deduped.weights);
+  CoverageGraph compact = CoverageGraph::TryBuildForPairsWeighted(
+      dist, deduped.pairs, deduped.weights).value();
   for (int k : {1, 2, 3}) {
     auto ilp = IlpSummarizer().Summarize(compact, k);
     auto exact = ExhaustiveSummarizer().Summarize(compact, k);
@@ -121,7 +122,7 @@ TEST(WeightedGraphTest, HeavyTargetDominatesSelection) {
   std::vector<ConceptSentimentPair> pairs{{a, 0.9}, {b, -0.9}};
   std::vector<double> weights{1.0, 100.0};
   CoverageGraph graph =
-      CoverageGraph::BuildForPairsWeighted(dist, pairs, weights);
+      CoverageGraph::TryBuildForPairsWeighted(dist, pairs, weights).value();
   auto result = GreedySummarizer().Summarize(graph, 1);
   ASSERT_TRUE(result.ok());
   // Covering b zeroes 100 * depth 2 = 200; covering a only zeroes 1.
@@ -132,7 +133,8 @@ TEST(WeightedGraphTest, HeavyTargetDominatesSelection) {
 TEST(WeightedGraphTest, DefaultWeightIsOne) {
   Instance inst = MakeGriddedInstance(6, 10);
   PairDistance dist(&inst.ontology, 0.5);
-  CoverageGraph graph = CoverageGraph::BuildForPairs(dist, inst.pairs);
+  CoverageGraph graph =
+      CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
   for (int w = 0; w < graph.num_targets(); ++w) {
     EXPECT_DOUBLE_EQ(graph.target_weight(w), 1.0);
   }
@@ -142,9 +144,9 @@ TEST(WeightedGraphTest, RejectsMismatchedWeightVector) {
   Instance inst = MakeGriddedInstance(7, 5);
   PairDistance dist(&inst.ontology, 0.5);
   std::vector<double> weights(3, 1.0);  // wrong size
-  EXPECT_DEATH(
-      CoverageGraph::BuildForPairsWeighted(dist, inst.pairs, weights),
-      "OSRS_CHECK");
+  Result<CoverageGraph> graph =
+      CoverageGraph::TryBuildForPairsWeighted(dist, inst.pairs, weights);
+  EXPECT_EQ(graph.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace
