@@ -21,7 +21,6 @@
 #include <deque>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -30,6 +29,7 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
+#include "common/thread_count.h"
 #include "core/distance.h"
 #include "core/model.h"
 #include "coverage/coverage_graph.h"
@@ -334,9 +334,8 @@ int Run(int argc, char** argv) {
 
   std::printf(
       "coverage-graph construction: %d-concept ontology, "
-      "%u hardware thread(s)\n",
-      onto_options.num_concepts,
-      std::max(1u, std::thread::hardware_concurrency()));
+      "%d hardware thread(s)\n",
+      onto_options.num_concepts, ResolveThreadCount(0));
   std::printf("%-8s %6s %9s %12s %12s", "mode", "eps", "pairs", "edges",
               "baseline");
   for (int t : thread_counts) std::printf(" %9s", StrFormat("fast x%d", t).c_str());

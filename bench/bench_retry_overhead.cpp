@@ -12,9 +12,7 @@
 //      fault-free run — the retry loop never triggers, so the ratio
 //      isolates its bookkeeping cost.
 //
-// The acceptance bar is overhead < 1%. The same binary built with
-// -DOSRS_FAILPOINTS=OFF reports compiled_in=false and zero site cost (the
-// macro is a constant), which is how ci.sh proves the compiled-out path.
+// The acceptance bar is overhead < 1%.
 //
 // Usage: bench_retry_overhead [--smoke] [--out=BENCH_retry.json]
 
@@ -141,8 +139,7 @@ int main(int argc, char** argv) {
   registry.DisarmAll();
 
   // 2. Site evaluations per no-fault batch: prob(0) counts hits without
-  //    ever firing. Under -DOSRS_FAILPOINTS=OFF the sites are compiled
-  //    out, so this measures exactly 0 — the compiled-out proof.
+  //    ever firing.
   BatchSummarizerOptions options;
   options.num_threads = 1;
   BatchSummarizer batch(&onto, options);
@@ -177,9 +174,7 @@ int main(int argc, char** argv) {
   bool under_bar = site_overhead_percent < 1.0;
   bool gate = !smoke;
 
-  std::printf("bench_retry_overhead (%s, failpoints %s)\n",
-              smoke ? "smoke" : "full",
-              fault::kCompiledIn ? "compiled in" : "compiled out");
+  std::printf("bench_retry_overhead (%s)\n", smoke ? "smoke" : "full");
   std::printf("  disarmed site:     %7.3f ns/eval\n", disarmed_ns);
   std::printf("  armed quiet site:  %7.3f ns/eval\n", armed_quiet_ns);
   std::printf("  site evals/batch:  %lld (%d items)\n",
@@ -193,7 +188,6 @@ int main(int argc, char** argv) {
 
   BenchJsonWriter writer("retry_overhead");
   writer.Bool("smoke", smoke);
-  writer.Bool("compiled_in", fault::kCompiledIn);
   writer.Int("num_items", num_items);
   writer.Raw("disarmed_ns_per_eval", StrFormat("%.4f", disarmed_ns));
   writer.Raw("armed_quiet_ns_per_eval", StrFormat("%.4f", armed_quiet_ns));

@@ -280,7 +280,6 @@ int main(int argc, char** argv) {
   bool accounting_ok = CheckAccounting(counters, &violation);
 
   BenchJsonWriter writer("serve");
-  writer.Bool("failpoints_compiled_in", fault::kCompiledIn);
   writer.Bool("smoke", smoke);
   writer.Int("workers", server.num_workers());
   writer.Int("items", num_items);

@@ -13,12 +13,12 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
+#include "common/thread_count.h"
 #include "core/distance.h"
 #include "core/model.h"
 #include "coverage/item_graph.h"
@@ -38,7 +38,7 @@ namespace osrs::bench {
 /// enables the metrics registry and installs a trace on the main thread;
 /// its destructor prints the per-phase breakdown and the registry to
 /// stderr (the paper-style tables on stdout stay clean). Without --stats
-/// — or with -DOSRS_OBS=OFF, which it reports — it does nothing.
+/// it does nothing.
 class StatsSession {
  public:
   StatsSession(int argc, char** argv) {
@@ -52,11 +52,6 @@ class StatsSession {
   ~StatsSession() {
     if (!enabled_) return;
     scope_.reset();
-    if (!obs::kCompiledIn) {
-      std::fprintf(stderr,
-                   "--stats: telemetry compiled out (-DOSRS_OBS=OFF)\n");
-      return;
-    }
     obs::SolverStats stats = obs::SolverStats::FromTrace(trace_);
     std::fprintf(stderr, "--- solver phase breakdown (--stats) ---\n%s",
                  stats.ToText("  ").c_str());
@@ -83,9 +78,9 @@ class StatsSession {
 class BenchJsonWriter {
  public:
   explicit BenchJsonWriter(std::string_view bench_name)
-      : json_(StrFormat("{\"bench\":\"%s\",\"hardware_threads\":%u",
+      : json_(StrFormat("{\"bench\":\"%s\",\"hardware_threads\":%d",
                         JsonEscape(bench_name).c_str(),
-                        std::max(1u, std::thread::hardware_concurrency()))) {}
+                        ResolveThreadCount(0))) {}
 
   void Bool(std::string_view key, bool value) {
     Raw(key, value ? "true" : "false");

@@ -10,23 +10,16 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "common/slog.h"
 #include "common/strings.h"
+#include "common/thread_count.h"
 #include "obs/metrics.h"
 #include "validate/model_validator.h"
 
 namespace osrs {
 namespace {
-
-/// Latency bucket bounds (milliseconds) of the batch roll-up histograms,
-/// matching the "osrs.api.solve_ms" registry histogram.
-const std::vector<double>& LatencyBoundsMs() {
-  static const std::vector<double>* bounds = new std::vector<double>{
-      0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500,
-      5000};
-  return *bounds;
-}
 
 obs::Gauge* InflightGauge() {
   static obs::Gauge* gauge =
@@ -71,16 +64,6 @@ Result<ItemSummary> GuardedSummarize(const ReviewSummarizer& summarizer,
   }
 }
 
-/// splitmix64 finalizer: full-avalanche mix of the jitter inputs.
-uint64_t Mix64(uint64_t h) {
-  h ^= h >> 30;
-  h *= 0xBF58476D1CE4E5B9ull;
-  h ^= h >> 27;
-  h *= 0x94D049BB133111EBull;
-  h ^= h >> 31;
-  return h;
-}
-
 /// Backoff before retry `attempt` (1-based) of item `item_index`:
 /// exponential, capped, with a deterministic jitter factor in
 /// [1 - jitter, 1] so identical (policy, item, attempt) triples always
@@ -91,7 +74,8 @@ double BackoffMs(const RetryPolicy& policy, size_t item_index, int attempt) {
   base = std::min(base, policy.max_backoff_ms);
   if (base <= 0.0) return 0.0;
   uint64_t h = Mix64(policy.jitter_seed ^
-                     Mix64(static_cast<uint64_t>(item_index) * 0x9E3779B97F4A7C15ull ^
+                     Mix64(static_cast<uint64_t>(item_index) *
+                               kSplitMix64Gamma ^
                            static_cast<uint64_t>(attempt)));
   double unit = static_cast<double>(h >> 11) * 0x1p-53;  // [0, 1)
   double jitter = std::clamp(policy.jitter, 0.0, 1.0);
@@ -191,8 +175,8 @@ std::string BatchStats::ToJson() const {
 
 BatchStats AggregateBatchStats(const std::vector<BatchEntry>& entries) {
   BatchStats out;
-  out.total_ms = obs::HistogramSnapshot(LatencyBoundsMs());
-  out.solver_ms = obs::HistogramSnapshot(LatencyBoundsMs());
+  out.total_ms = obs::HistogramSnapshot(obs::LatencyBoundsMs());
+  out.solver_ms = obs::HistogramSnapshot(obs::LatencyBoundsMs());
   for (const BatchEntry& entry : entries) {
     ++out.total;
     out.retries += entry.retries;
@@ -255,11 +239,8 @@ std::vector<BatchEntry> BatchSummarizer::SummarizeAll(
   }
   batch_budget.AddCancellation(options_.cancellation);
 
-  unsigned hardware = std::thread::hardware_concurrency();
-  int num_threads = options_.num_threads > 0
-                        ? options_.num_threads
-                        : static_cast<int>(std::max(1u, hardware));
-  num_threads = std::min<int>(num_threads, static_cast<int>(items.size()));
+  int num_threads = std::min<int>(ResolveThreadCount(options_.num_threads),
+                                  static_cast<int>(items.size()));
 
   // Work stealing via a shared atomic cursor; each worker owns its own
   // ReviewSummarizer (they are stateless but this keeps options private).

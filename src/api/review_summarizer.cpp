@@ -5,6 +5,7 @@
 #include <memory>
 #include <utility>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
@@ -76,27 +77,16 @@ obs::Counter* SummariesCounter() {
 
 obs::Histogram* SolveMsHistogram() {
   static obs::Histogram* histogram =
-      obs::MetricsRegistry::Global().GetHistogram(
-          "osrs.api.solve_ms",
-          {0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000,
-           2500, 5000});
+      obs::MetricsRegistry::Global().GetHistogram("osrs.api.solve_ms",
+                                                  obs::LatencyBoundsMs());
   return histogram;
 }
 
-/// splitmix64 finalizer, the same full-avalanche mix the retry jitter
-/// uses: each field is mixed into the running hash so field order and
-/// adjacent-value collisions cannot cancel out.
-uint64_t Mix64(uint64_t h) {
-  h ^= h >> 30;
-  h *= 0xBF58476D1CE4E5B9ull;
-  h ^= h >> 27;
-  h *= 0x94D049BB133111EBull;
-  h ^= h >> 31;
-  return h;
-}
-
+/// Each field is mixed into the running hash with the splitmix64
+/// finalizer, so field order and adjacent-value collisions cannot cancel
+/// out.
 uint64_t HashCombine(uint64_t seed, uint64_t value) {
-  return Mix64(seed ^ (value + 0x9E3779B97F4A7C15ull + (seed << 6)));
+  return Mix64(seed ^ (value + kSplitMix64Gamma + (seed << 6)));
 }
 
 uint64_t BitsOf(double value) {

@@ -122,8 +122,7 @@ struct ReviewSummarizerOptions {
   /// When true (the default) each Summarize call installs a per-solve
   /// trace (see obs/trace.h) and returns phase timings plus solver
   /// progress counters on ItemSummary::stats. Costs a handful of clock
-  /// reads per solve; set false (or build the tree with -DOSRS_OBS=OFF)
-  /// to skip even that.
+  /// reads per solve; set false to skip even that.
   bool collect_stats = true;
   /// Algorithms tried, in order, after the primary `algorithm` trips its
   /// budget (or fails for any reason other than cancellation / invalid
@@ -192,8 +191,7 @@ struct ItemSummary {
   /// ReviewSummarizerOptions::strict_validation is set.
   std::vector<std::string> validation_warnings;
   /// Per-phase timings and solver progress counters of this solve (empty
-  /// when ReviewSummarizerOptions::collect_stats is false or the tree was
-  /// built with -DOSRS_OBS=OFF).
+  /// when ReviewSummarizerOptions::collect_stats is false).
   obs::SolverStats stats;
   /// Transient-failure retries this summary consumed before succeeding.
   /// Always 0 from ReviewSummarizer::Summarize itself — retrying is

@@ -8,15 +8,9 @@
 // fields — so a shed decision, a retry, or a failpoint injection is one
 // grep-able, machine-parseable record instead of prose on stderr.
 //
-// Two switches keep the layer free when unused (mirroring OSRS_OBS, see
-// obs/metrics.h):
-//
-//   * compile time — the cmake option OSRS_LOGGING (default ON) defines
-//     OSRS_LOGGING_ENABLED; with -DOSRS_LOGGING=OFF the OSRS_LOG macros
-//     compile to a never-taken `if (false)` whose arguments stay
-//     type-checked but are never evaluated;
-//   * run time — a minimum-level gate (default kInfo) read with one
-//     relaxed atomic load before any argument evaluation.
+// A runtime minimum-level gate (default kInfo) keeps the layer free when
+// unused: it is read with one relaxed atomic load before any argument
+// evaluation.
 //
 // Every OSRS_LOG site additionally owns a token-bucket rate limiter
 // (function-local static), so a hot failure path — thousands of sheds per
@@ -29,10 +23,6 @@
 // bans raw std::cerr / fprintf(stderr) logging in src/ outside this
 // logger, making these macros the only diagnostic channel.
 
-#ifndef OSRS_LOGGING_ENABLED
-#define OSRS_LOGGING_ENABLED 1
-#endif
-
 #include <atomic>
 #include <cstdint>
 #include <initializer_list>
@@ -40,9 +30,6 @@
 #include <string_view>
 
 namespace osrs::slog {
-
-/// False when the tree was configured with -DOSRS_LOGGING=OFF.
-inline constexpr bool kCompiledIn = OSRS_LOGGING_ENABLED != 0;
 
 enum class Level : int {
   kDebug = 0,
@@ -74,10 +61,9 @@ inline Level MinLevel() {
       internal::MinLevelFlag().load(std::memory_order_relaxed));
 }
 
-/// True when an event at `level` would be emitted (compiled in and at or
-/// above the runtime minimum level).
+/// True when an event at `level` would be emitted (at or above the runtime
+/// minimum level).
 inline bool ShouldLog(Level level) {
-  if constexpr (!kCompiledIn) return false;
   return static_cast<int>(level) >=
          internal::MinLevelFlag().load(std::memory_order_relaxed);
 }
@@ -175,7 +161,6 @@ inline constexpr double kDefaultPerSecond = 5.0;
 // One structured event with an explicit trace id. `fields...` are
 // brace-ready Field initializers: OSRS_LOG_T(osrs::slog::Level::kWarn,
 // "serve", id, "shed", {"item", item_id}, {"queue_ms", q}).
-#if OSRS_LOGGING_ENABLED
 #define OSRS_LOG_T(level, module, trace_id_expr, message, ...)             \
   do {                                                                     \
     if (::osrs::slog::ShouldLog(level)) {                                  \
@@ -188,17 +173,6 @@ inline constexpr double kDefaultPerSecond = 5.0;
       }                                                                    \
     }                                                                      \
   } while (0)
-#else
-// Compiled out: arguments stay type-checked (so a site cannot rot behind
-// the off configuration) but are never evaluated at run time.
-#define OSRS_LOG_T(level, module, trace_id_expr, message, ...)          \
-  do {                                                                  \
-    if (false) {                                                        \
-      ::osrs::slog::Emit(level, module, trace_id_expr, message,         \
-                         {__VA_ARGS__}, 0);                             \
-    }                                                                   \
-  } while (0)
-#endif
 
 // One structured event with no request association (trace_id omitted).
 #define OSRS_LOG(level, module, message, ...) \

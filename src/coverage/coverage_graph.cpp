@@ -8,9 +8,11 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "common/simd.h"
 #include "common/strings.h"
+#include "common/thread_count.h"
 #include "fault/failpoint.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -186,12 +188,9 @@ size_t ForEachCoveringPairInRange(const PairDistance& distance,
 /// Resolves the builder thread count: <= 0 means hardware concurrency,
 /// and shards never outnumber targets (an empty shard is pure overhead).
 int ResolveNumThreads(int num_threads, size_t num_targets) {
-  if (num_threads <= 0) {
-    unsigned hardware = std::thread::hardware_concurrency();
-    num_threads = static_cast<int>(std::max(1u, hardware));
-  }
   if (num_targets == 0) return 1;
-  return std::min<int>(num_threads, static_cast<int>(num_targets));
+  return std::min<int>(ResolveThreadCount(num_threads),
+                       static_cast<int>(num_targets));
 }
 
 /// Runs `shard_fn(shard, w_begin, w_end)` over `num_shards` contiguous,
@@ -411,18 +410,13 @@ struct DedupeKey {
   }
 };
 
-/// Mixes the concept and bucket words with splitmix64-style avalanching;
+/// Mixes the concept and bucket words with the splitmix64 finalizer;
 /// either field alone is low-entropy (small ids, clustered buckets).
 struct DedupeKeyHash {
   size_t operator()(const DedupeKey& key) const {
     uint64_t h = static_cast<uint64_t>(static_cast<uint32_t>(key.concept_id));
     h = (h << 32) ^ static_cast<uint64_t>(key.sentiment_bucket);
-    h ^= h >> 30;
-    h *= 0xBF58476D1CE4E5B9ULL;
-    h ^= h >> 27;
-    h *= 0x94D049BB133111EBULL;
-    h ^= h >> 31;
-    return static_cast<size_t>(h);
+    return static_cast<size_t>(Mix64(h));
   }
 };
 

@@ -7,6 +7,13 @@
 
 namespace osrs::obs {
 
+const std::vector<double>& LatencyBoundsMs() {
+  static const std::vector<double>* bounds = new std::vector<double>{
+      0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500,
+      5000};
+  return *bounds;
+}
+
 HistogramSnapshot::HistogramSnapshot(std::vector<double> bounds)
     : upper_bounds(std::move(bounds)),
       counts(upper_bounds.size() + 1, 0) {}

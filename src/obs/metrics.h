@@ -5,21 +5,13 @@
 // primitives owned by a global MetricsRegistry with string-interned names
 // (one handle per name, stable for the process lifetime).
 //
-// Two switches keep the layer near-free in production:
-//
-//   * compile time — the cmake option OSRS_OBS (default ON) defines
-//     OSRS_OBS_ENABLED; with -DOSRS_OBS=OFF every recording call compiles
-//     to nothing and TraceSpan (see obs/trace.h) shrinks to an empty type;
-//   * run time — MetricsRegistry::SetEnabled(true) must be called before
-//     registered metrics record anything. Disabled recording is one
-//     relaxed atomic load plus a predictable branch.
+// A runtime gate keeps the layer near-free in production:
+// MetricsRegistry::SetEnabled(true) must be called before registered
+// metrics record anything. Disabled recording is one relaxed atomic load
+// plus a predictable branch.
 //
 // Naming convention: "osrs.<module>.<name>", e.g. "osrs.simplex.pivots"
 // (documented in README.md, "Observability").
-
-#ifndef OSRS_OBS_ENABLED
-#define OSRS_OBS_ENABLED 1
-#endif
 
 #include <atomic>
 #include <cstdint>
@@ -33,8 +25,9 @@
 
 namespace osrs::obs {
 
-/// False when the tree was configured with -DOSRS_OBS=OFF.
-inline constexpr bool kCompiledIn = OSRS_OBS_ENABLED != 0;
+/// Always true: telemetry has no compile-time off switch. Kept only because
+/// the perfbench host fingerprint prints it.
+inline constexpr bool kCompiledIn = true;
 
 namespace internal {
 /// The runtime gate shared by every registered metric. A function-local
@@ -46,9 +39,8 @@ inline std::atomic<bool>& EnabledFlag() {
 }
 }  // namespace internal
 
-/// True when telemetry is compiled in AND runtime-enabled.
+/// True when telemetry is runtime-enabled.
 inline bool Enabled() {
-  if constexpr (!kCompiledIn) return false;
   return internal::EnabledFlag().load(std::memory_order_relaxed);
 }
 
@@ -137,6 +129,11 @@ struct HistogramSnapshot {
   /// overflow bucket return the last finite bound. Returns 0 when empty.
   double Quantile(double q) const;
 };
+
+/// Bucket upper bounds (milliseconds) shared by every latency histogram:
+/// osrs.api.solve_ms, osrs.serve.{queue,solve,total}_ms, the serving
+/// layer's solve-cost estimate and the batch roll-ups. 0.1 ms .. 5 s.
+const std::vector<double>& LatencyBoundsMs();
 
 /// Thread-safe fixed-bucket histogram (see HistogramSnapshot for the
 /// bucket semantics). Observations are relaxed atomic adds per bucket.

@@ -16,10 +16,9 @@
 // completed trace — sharing its solve span — then stamp their own
 // request id and append their wait span to the copy.
 //
-// Always compiled (like SolveTrace): recording a span is a clock read and
-// a vector push, cheap enough for the serving path at any OSRS_OBS
-// setting. The bounded TraceRing keeps the most recent completed traces
-// in memory for the `traces` REPL verb and post-hoc debugging.
+// Recording a span is a clock read and a vector push, cheap enough for
+// the serving path. The bounded TraceRing keeps the most recent completed
+// traces in memory for the `traces` REPL verb and post-hoc debugging.
 
 #include <cstdint>
 #include <deque>

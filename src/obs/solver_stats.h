@@ -28,8 +28,8 @@ struct CounterStat {
 };
 
 /// Per-solve statistics in wire form. Only phases that ran and counters
-/// that are nonzero appear, so an uninstrumented (or OSRS_OBS=OFF) solve
-/// renders as the empty object.
+/// that are nonzero appear, so an uninstrumented solve renders as the
+/// empty object.
 struct SolverStats {
   std::vector<PhaseStat> phases;
   std::vector<CounterStat> counters;

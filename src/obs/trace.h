@@ -10,8 +10,7 @@
 // with Tracer::Scope, and every TraceSpan / TraceStat call below it on the
 // same thread records into that trace. With no trace installed (the
 // default) a span is one thread-local load, one branch, and one clock
-// read; with -DOSRS_OBS=OFF it is an empty object (sizeof == 1) and
-// TraceStat is a no-op — obs_test static_asserts this.
+// read.
 //
 // RAII spans keep nesting balanced on every exit path, including solver
 // early returns on a tripped ExecutionBudget: open_spans() is 0 again the
@@ -114,8 +113,6 @@ class SolveTrace {
   int max_depth_ = 0;
 };
 
-#if OSRS_OBS_ENABLED
-
 /// Thread-local installation point for the active SolveTrace.
 class Tracer {
  public:
@@ -180,30 +177,6 @@ inline void TraceStat(Stat stat, int64_t delta) {
   SolveTrace* trace = Tracer::current();
   if (trace != nullptr) trace->AddStat(stat, delta);
 }
-
-#else  // !OSRS_OBS_ENABLED — empty shells, call sites compile unchanged.
-
-class Tracer {
- public:
-  static constexpr SolveTrace* current() { return nullptr; }
-  class Scope {
-   public:
-    explicit Scope(SolveTrace* /*trace*/) {}
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-  };
-};
-
-class TraceSpan {
- public:
-  explicit TraceSpan(Phase /*phase*/) {}
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-};
-
-inline void TraceStat(Stat /*stat*/, int64_t /*delta*/) {}
-
-#endif  // OSRS_OBS_ENABLED
 
 }  // namespace osrs::obs
 

@@ -7,6 +7,7 @@
 
 #include "common/slog.h"
 #include "common/strings.h"
+#include "common/thread_count.h"
 #include "fault/failpoint.h"
 
 namespace osrs::serve {
@@ -30,31 +31,24 @@ obs::Counter* ServeCounter(const char* name) {
   return obs::MetricsRegistry::Global().GetCounter(name);
 }
 
-const std::vector<double>& LatencyBounds() {
-  static const std::vector<double> bounds = {0.1, 0.25, 0.5,  1,   2.5,
-                                             5,   10,   25,   50,  100,
-                                             250, 500,  1000, 2500, 5000};
-  return bounds;
-}
-
 obs::Histogram* QueueMsHistogram() {
   static obs::Histogram* histogram =
       obs::MetricsRegistry::Global().GetHistogram("osrs.serve.queue_ms",
-                                                  LatencyBounds());
+                                                  obs::LatencyBoundsMs());
   return histogram;
 }
 
 obs::Histogram* SolveMsHistogram() {
   static obs::Histogram* histogram =
       obs::MetricsRegistry::Global().GetHistogram("osrs.serve.solve_ms",
-                                                  LatencyBounds());
+                                                  obs::LatencyBoundsMs());
   return histogram;
 }
 
 obs::Histogram* TotalMsHistogram() {
   static obs::Histogram* histogram =
       obs::MetricsRegistry::Global().GetHistogram("osrs.serve.total_ms",
-                                                  LatencyBounds());
+                                                  obs::LatencyBoundsMs());
   return histogram;
 }
 
@@ -123,19 +117,14 @@ struct SummaryServer::Flight {
   ServeResponse response OSRS_GUARDED_BY(mutex);
 };
 
-int SummaryServer::ResolveWorkerCount(int requested) {
-  if (requested > 0) return requested;
-  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-}
-
 SummaryServer::SummaryServer(const Ontology* ontology, std::vector<Item> items,
                              ServeOptions options)
     : ontology_(ontology),
       options_(std::move(options)),
       options_fingerprint_(OptionsFingerprint(options_.summarizer)),
-      num_workers_(ResolveWorkerCount(options_.num_threads)),
+      num_workers_(ResolveThreadCount(options_.num_threads)),
       cache_(options_.cache_capacity),
-      solve_cost_(LatencyBounds()),
+      solve_cost_(obs::LatencyBoundsMs()),
       trace_ring_(options_.trace_ring_capacity) {
   // Recovery runs before any worker exists: the first admitted request
   // must already see the committed durable state.

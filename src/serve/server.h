@@ -273,8 +273,6 @@ class SummaryServer {
     CancellationFlag cancel;
   };
 
-  static int ResolveWorkerCount(int requested);
-
   ServeResponse ServeImpl(const ServeRequest& request)
       OSRS_EXCLUDES(mutex_, items_mutex_, counters_mutex_, cost_mutex_);
   void WorkerLoop(int worker_index) OSRS_EXCLUDES(mutex_);
@@ -364,7 +362,7 @@ class SummaryServer {
 
   /// Solve-cost estimate feeding admission and shedding. Kept as a plain
   /// snapshot under its own mutex so the policy works even when the
-  /// global metrics registry is disabled or compiled out.
+  /// global metrics registry is disabled.
   mutable Mutex cost_mutex_;
   obs::HistogramSnapshot solve_cost_ OSRS_GUARDED_BY(cost_mutex_);
   double p50_solve_ms_cached_ OSRS_GUARDED_BY(cost_mutex_) = 0.0;

@@ -250,6 +250,7 @@ TEST_F(FailpointTriggerTest, DisarmedFailpointIsFree) {
   Failpoint* fp = FailpointRegistry::Global().Get("chaos.test.disarmed");
   EXPECT_FALSE(fp->armed());
   EXPECT_TRUE(fp->Evaluate().ok());
+  EXPECT_TRUE(OSRS_FAILPOINT("chaos.test.disarmed").ok());
   FailpointSpec spec;
   fp->Arm(spec);
   EXPECT_FALSE(fp->Evaluate().ok());
@@ -894,14 +895,6 @@ TEST_F(ChaosCampaignTest, TwoHundredTenRandomSchedules) {
     total_injections += injections[site];
   }
   EXPECT_GT(total_injections, 210) << "campaign barely injected anything";
-}
-
-// Compile-time switch sanity: this test binary is built with the subsystem
-// enabled; the OSRS_FAILPOINTS=OFF configuration is exercised by ci.sh.
-TEST_F(ChaosCampaignTest, SubsystemCompiledIn) {
-  EXPECT_TRUE(fault::kCompiledIn);
-  Status status = OSRS_FAILPOINT("chaos.test.compiled_in");
-  EXPECT_TRUE(status.ok());
 }
 
 }  // namespace

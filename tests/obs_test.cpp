@@ -24,11 +24,6 @@
 namespace osrs {
 namespace {
 
-// With -DOSRS_OBS=OFF a TraceSpan must shrink to an empty object: the
-// instrumentation points in the solvers then cost exactly nothing.
-static_assert(obs::kCompiledIn || sizeof(obs::TraceSpan) == 1,
-              "disabled TraceSpan must be an empty type");
-
 /// Restores the registry's enabled flag (tests flip it on).
 class ScopedRegistryEnable {
  public:
@@ -83,7 +78,6 @@ Item SmallItem(const Ontology& onto) {
 // ---------------------------------------------------------------- Counter --
 
 TEST(CounterTest, ConcurrentIncrementsSumExactly) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   ScopedRegistryEnable enable;
   obs::Counter* counter =
       obs::MetricsRegistry::Global().GetCounter("osrs.test.concurrent");
@@ -184,7 +178,6 @@ TEST(HistogramTest, QuantileWithSingleObservationHitsItsBucket) {
 }
 
 TEST(HistogramTest, ThreadSafeObserveMatchesSnapshot) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   ScopedRegistryEnable enable;
   obs::Histogram* histogram = obs::MetricsRegistry::Global().GetHistogram(
       "osrs.test.histogram", {1.0, 10.0});
@@ -206,7 +199,6 @@ TEST(HistogramTest, ThreadSafeObserveMatchesSnapshot) {
 // ------------------------------------------------------------------ Trace --
 
 TEST(TraceTest, SpansRecordIntoInstalledTrace) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::SolveTrace trace;
   {
     obs::Tracer::Scope scope(&trace);
@@ -235,7 +227,6 @@ TEST(TraceTest, NoInstalledTraceRecordsNothing) {
 }
 
 TEST(TraceTest, NestingBalancedOnEarlyBudgetReturn) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   Instance inst = MakeInstance(11, 120);
   PairDistance dist(&inst.ontology, 0.5);
   CoverageGraph graph =
@@ -257,7 +248,6 @@ TEST(TraceTest, NestingBalancedOnEarlyBudgetReturn) {
 // ------------------------------------------------------------ SolverStats --
 
 TEST(SolverStatsTest, FromTraceKeepsOnlyNonZero) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::SolveTrace trace;
   trace.RecordPhase(obs::Phase::kHeapInit, 2'000'000);
   trace.AddStat(obs::Stat::kHeapPops, 7);
@@ -292,7 +282,6 @@ TEST(SolverStatsTest, MergeFromSumsByName) {
 // ----------------------------------------------- Determinism (greedy runs) --
 
 TEST(TraceTest, GreedyDistanceEvaluationsDeterministicAcrossRuns) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   Instance inst = MakeInstance(5, 80);
   PairDistance dist(&inst.ontology, 0.5);
   CoverageGraph graph =
@@ -322,16 +311,12 @@ TEST(FacadeStatsTest, SummarizePopulatesStats) {
   ReviewSummarizer summarizer(&onto, {});
   auto summary = summarizer.Summarize(SmallItem(onto), 2);
   ASSERT_TRUE(summary.ok());
-  if (obs::kCompiledIn) {
-    EXPECT_FALSE(summary->stats.empty());
-    EXPECT_GT(summary->stats.counter("distance_evaluations"), 0);
-    EXPECT_GT(summary->stats.counter("graph_edges_built"), 0);
-    EXPECT_GT(summary->stats.counter("heap_pops"), 0);
-    EXPECT_GE(summary->stats.phase_millis("solve_attempt"), 0.0);
-  } else {
-    EXPECT_TRUE(summary->stats.empty());
-  }
-  // The diagnostics object carries the stats in JSON either way.
+  EXPECT_FALSE(summary->stats.empty());
+  EXPECT_GT(summary->stats.counter("distance_evaluations"), 0);
+  EXPECT_GT(summary->stats.counter("graph_edges_built"), 0);
+  EXPECT_GT(summary->stats.counter("heap_pops"), 0);
+  EXPECT_GE(summary->stats.phase_millis("solve_attempt"), 0.0);
+  // The diagnostics object carries the stats in JSON.
   std::string json = summary->ToJson();
   EXPECT_NE(json.find("\"diagnostics\":{"), std::string::npos);
   EXPECT_NE(json.find("\"stats\":{"), std::string::npos);
@@ -372,10 +357,8 @@ TEST(BatchStatsTest, AggregatesCountsLatenciesAndStats) {
   EXPECT_EQ(stats.ok, 3);
   EXPECT_EQ(stats.failed, 0);
   EXPECT_EQ(stats.total_ms.total_count, 3);
-  if (obs::kCompiledIn) {
-    EXPECT_EQ(stats.stats.counter("distance_evaluations"),
-              3 * entries[0].summary.stats.counter("distance_evaluations"));
-  }
+  EXPECT_EQ(stats.stats.counter("distance_evaluations"),
+            3 * entries[0].summary.stats.counter("distance_evaluations"));
   std::string json = stats.ToJson();
   EXPECT_NE(json.find("\"ok\":3"), std::string::npos);
   EXPECT_NE(json.find("\"total_ms\":{"), std::string::npos);
@@ -398,7 +381,6 @@ TEST(OpenMetricsTest, SanitizeMetricNameMapsDottedNames) {
 }
 
 TEST(OpenMetricsTest, SnapshotCapturesAllThreeKinds) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   ScopedRegistryEnable enable;
   auto& registry = obs::MetricsRegistry::Global();
   registry.GetCounter("osrs.test.snap_hits")->Reset();
@@ -429,7 +411,6 @@ TEST(OpenMetricsTest, SnapshotCapturesAllThreeKinds) {
 }
 
 TEST(OpenMetricsTest, RenderedTextHasMonotoneCumulativeBuckets) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   ScopedRegistryEnable enable;
   auto& registry = obs::MetricsRegistry::Global();
   registry.GetCounter("osrs.test.om_hits")->Reset();

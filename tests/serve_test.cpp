@@ -727,9 +727,6 @@ TEST_F(ServeTest, ServerTraceRingKeepsTheMostRecentRequests) {
 }
 
 TEST_F(ServeTest, StructuredLogsEmitSlowAndShedEvents) {
-  if (!slog::kCompiledIn) {
-    GTEST_SKIP() << "logging compiled out (-DOSRS_LOGGING=OFF)";
-  }
   // The sink runs under the logger's emit lock, so appends from the
   // worker thread and the caller thread cannot interleave.
   std::string captured;

@@ -314,10 +314,8 @@ int main(int argc, char** argv) {
 
   if (options.json) {
     std::string out = osrs::StrFormat(
-        "{\"file\":\"%s\",\"k\":%d,\"epsilon\":%g,\"compiled_in\":%s,"
-        "\"algorithms\":{",
-        osrs::JsonEscape(path).c_str(), options.k, options.epsilon,
-        osrs::obs::kCompiledIn ? "true" : "false");
+        "{\"file\":\"%s\",\"k\":%d,\"epsilon\":%g,\"algorithms\":{",
+        osrs::JsonEscape(path).c_str(), options.k, options.epsilon);
     for (size_t i = 0; i < results.size(); ++i) {
       if (i > 0) out += ',';
       out += osrs::StrFormat("\"%s\":%s",
@@ -339,11 +337,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::printf("%s: %zu item(s), k=%d, epsilon=%g%s\n", path.c_str(),
-              corpus->items.size(), options.k, options.epsilon,
-              osrs::obs::kCompiledIn
-                  ? ""
-                  : " (telemetry compiled out: -DOSRS_OBS=OFF)");
+  std::printf("%s: %zu item(s), k=%d, epsilon=%g\n", path.c_str(),
+              corpus->items.size(), options.k, options.epsilon);
   for (const auto& [name, stats] : results) {
     PrintText(name, stats);
   }
