@@ -187,17 +187,19 @@ echo "== store bench smoke =="
 # the smoke request count is too small for a stable p99.
 ./build/bench/bench_store --smoke --out=build/BENCH_store_smoke.json
 
-echo "== OSRS_SIMD=OFF build + solver diff + tier-1 solver tests =="
+echo "== OSRS_SIMD=OFF build + solver diff + tier-1 solver and serving tests =="
 # The scalar fallback must be a first-class configuration, not a degraded
 # one: with the AVX2 backend compiled out entirely, every solver has to
 # produce bit-identical summaries and costs (the diff test compares
 # against the in-build backend, which degrades to scalar-vs-scalar here —
 # proving the dispatch layer, while the default build above proves
-# scalar-vs-AVX2) and the solver-facing suites must stay green.
+# scalar-vs-AVX2) and the solver-facing suites must stay green. serve_test
+# runs here too: its shared-graph differential tests prove served answers
+# equal cold facade solves bit for bit on the scalar kernels as well.
 run_suite build-nosimd -DOSRS_SIMD=OFF
 (cd build-nosimd && \
  ctest --output-on-failure -j "$JOBS" \
-       -R 'solver_simd_diff_test|solver_test|local_search_test|weighted_coverage_test|indexed_heap_test|property_test')
+       -R 'solver_simd_diff_test|solver_test|local_search_test|weighted_coverage_test|indexed_heap_test|property_test|serve_test')
 
 echo "== perfbench build (not run) =="
 # perfbench/ is a standalone CMake package that compiles src/ in Release

@@ -96,7 +96,28 @@ uint64_t BitsOf(double value) {
   return bits;
 }
 
+/// Item validation, preceded under strict validation by the
+/// corpus-integrity checks: they front-load a dangling concept reference
+/// as a structured report instead of tripping an OSRS_CHECK deep inside
+/// the ontology walk.
+Status CheckItem(const Item& item, const Ontology& ontology, bool strict,
+                 const ModelValidator& validator, ValidationReport* report) {
+  if (strict) {
+    validator.CheckItem(item, ontology.num_concepts(), report);
+    if (!report->ok()) return StrictValidationError(*report);
+  }
+  return ValidateItem(item);
+}
+
 }  // namespace
+
+size_t SummaryGraph::EstimateBytes() const {
+  const CoverageGraph& graph = item_graph.graph;
+  return CoverageGraph::EstimateBytes(
+      graph.num_edges(), static_cast<size_t>(graph.num_candidates()),
+      static_cast<size_t>(graph.num_targets()),
+      graph.target_weights_or_null() != nullptr);
+}
 
 uint64_t OptionsFingerprint(const ReviewSummarizerOptions& options) {
   uint64_t h = 0x05B5E0A1C0FFEE01ull;  // fingerprint-format version tag
@@ -171,40 +192,20 @@ Result<ItemSummary> ReviewSummarizer::Summarize(const Item& item,
 
 Result<ItemSummary> ReviewSummarizer::Summarize(
     const Item& item, int k, const ExecutionBudget& external) const {
-  if (k < 0) return Status::InvalidArgument(StrFormat("k=%d negative", k));
+  return Summarize(item, k, external,
+                   [this, &item, k] { return BuildGraph(item, k); });
+}
+
+Result<std::shared_ptr<const SummaryGraph>> ReviewSummarizer::BuildGraph(
+    const Item& item, int k) const {
   if (options_.graph_build_threads < 0) {
     return Status::InvalidArgument(StrFormat(
         "graph_build_threads=%d negative", options_.graph_build_threads));
   }
-
-  // Strict mode front-loads the corpus-integrity checks so a dangling
-  // concept reference surfaces as a structured report instead of tripping
-  // an OSRS_CHECK deep inside the ontology walk.
   ModelValidator validator;
-  ValidationReport strict_report = validator.MakeReport();
-  if (options_.strict_validation) {
-    validator.CheckItem(item, ontology_->num_concepts(), &strict_report);
-    if (!strict_report.ok()) return StrictValidationError(strict_report);
-  }
-  OSRS_RETURN_IF_ERROR(ValidateItem(item));
-
-  Stopwatch total_watch;
-  ExecutionBudget budget;
-  if (options_.deadline_ms > 0.0) budget.SetDeadlineMs(options_.deadline_ms);
-  if (options_.max_solver_work > 0) budget.SetMaxWork(options_.max_solver_work);
-  budget.AddCancellation(options_.cancellation);
-  budget = budget.TightenedBy(external);
-  // A budget already expired at entry (e.g. a batch deadline that tripped
-  // before this item was claimed) is an error, not a degradation: no work
-  // has been done, so there is nothing to degrade to.
-  OSRS_RETURN_IF_ERROR(budget.Check());
-
-  // Everything below (elbow probing, graph construction, every solver
-  // attempt) records into this call's trace; when collect_stats is off the
-  // currently installed trace — usually none — stays in effect.
-  obs::SolveTrace trace;
-  obs::Tracer::Scope trace_scope(options_.collect_stats ? &trace
-                                                        : obs::Tracer::current());
+  ValidationReport report = validator.MakeReport();
+  OSRS_RETURN_IF_ERROR(CheckItem(item, *ontology_, options_.strict_validation,
+                                 validator, &report));
 
   // The elbow probes and the real build share one set of build options, so
   // the memory bound and the failpoint cover every graph this call builds.
@@ -230,7 +231,44 @@ Result<ItemSummary> ReviewSummarizer::Summarize(
   // partial result to degrade to; surface them for the caller's retry
   // policy — kResourceExhausted and injected codes are retryable.
   OSRS_RETURN_IF_ERROR(built.status());
-  ItemGraph item_graph = std::move(built).value();
+  return std::make_shared<const SummaryGraph>(
+      SummaryGraph{epsilon, std::move(built).value()});
+}
+
+Result<ItemSummary> ReviewSummarizer::Summarize(
+    const Item& item, int k, const ExecutionBudget& external,
+    const GraphSource& graph_source) const {
+  if (k < 0) return Status::InvalidArgument(StrFormat("k=%d negative", k));
+
+  ModelValidator validator;
+  ValidationReport strict_report = validator.MakeReport();
+  OSRS_RETURN_IF_ERROR(CheckItem(item, *ontology_, options_.strict_validation,
+                                 validator, &strict_report));
+
+  Stopwatch total_watch;
+  ExecutionBudget budget;
+  if (options_.deadline_ms > 0.0) budget.SetDeadlineMs(options_.deadline_ms);
+  if (options_.max_solver_work > 0) budget.SetMaxWork(options_.max_solver_work);
+  budget.AddCancellation(options_.cancellation);
+  budget = budget.TightenedBy(external);
+  // A budget already expired at entry (e.g. a batch deadline that tripped
+  // before this item was claimed) is an error, not a degradation: no work
+  // has been done, so there is nothing to degrade to.
+  OSRS_RETURN_IF_ERROR(budget.Check());
+
+  // Everything below (a graph build the source runs, every solver
+  // attempt) records into this call's trace; when collect_stats is off the
+  // currently installed trace — usually none — stays in effect.
+  obs::SolveTrace trace;
+  obs::Tracer::Scope trace_scope(options_.collect_stats ? &trace
+                                                        : obs::Tracer::current());
+
+  Result<std::shared_ptr<const SummaryGraph>> source_result = graph_source();
+  OSRS_RETURN_IF_ERROR(source_result.status());
+  const std::shared_ptr<const SummaryGraph> summary_graph =
+      std::move(source_result).value();
+  const ItemGraph& item_graph = summary_graph->item_graph;
+  const double epsilon = summary_graph->epsilon;
   int effective_k = std::min<int>(k, item_graph.graph.num_candidates());
 
   if (options_.strict_validation) {

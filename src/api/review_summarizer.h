@@ -3,12 +3,15 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/execution_budget.h"
 #include "common/status.h"
 #include "core/model.h"
+#include "coverage/item_graph.h"
 #include "obs/solver_stats.h"
 #include "ontology/ontology.h"
 
@@ -80,8 +83,10 @@ struct ReviewSummarizerOptions {
   /// graph is identical at every setting. 1 (the default) builds serially;
   /// 0 uses the hardware concurrency; negative values are an
   /// InvalidArgument error at Summarize time. Graph construction dominates
-  /// a greedy solve (~83% of a cold serving solve on the phone corpus), so
-  /// raising this pays off when requests do not already keep every core
+  /// a greedy solve that builds its graph (~83% of such a solve on the
+  /// phone corpus). SummaryServer builds each item version's graph only on
+  /// its first read, so there this figure describes first reads alone.
+  /// Raising this pays off when requests do not already keep every core
   /// busy.
   int graph_build_threads = 1;
   /// Upper bound on the bytes any coverage graph built for the item may
@@ -184,7 +189,9 @@ struct ItemSummary {
   /// kDeadlineExceeded or kResourceExhausted.
   StatusCode stop_reason = StatusCode::kOk;
   /// Total wall-clock milliseconds spent in Summarize, across every
-  /// attempt (includes graph construction, unlike `solver_seconds`).
+  /// attempt. Unlike `solver_seconds` it includes getting the graph: its
+  /// construction, or under SummaryServer a wait on another request's
+  /// build of it (near zero when the graph was already built).
   double budget_spent_ms = 0.0;
   /// Warning-severity findings of the strict-validation pass, rendered as
   /// "warning OSRS-XXX-NNN [location]: message" lines. Always empty unless
@@ -212,6 +219,22 @@ struct ItemSummary {
   /// validation_warnings, stats); the top level holds the summary itself
   /// (cost, epsilon, sizes, entries).
   std::string ToJson() const;
+};
+
+/// The k-independent half of a solve: the §4.1 coverage graph of one item
+/// at the configured granularity, plus the ε it was built for. It depends
+/// only on the item, ε and the granularity, so one graph serves every k
+/// (SummaryServer shares it across the requests for one item version).
+/// Immutable once built; concurrent solves may read it.
+struct SummaryGraph {
+  /// The ε the graph was built with (the elbow's choice under
+  /// auto_epsilon).
+  double epsilon = 0.0;
+  ItemGraph item_graph;
+
+  /// CoverageGraph::EstimateBytes of the graph: the heap bytes of its CSR
+  /// lanes, offsets and root distances.
+  size_t EstimateBytes() const;
 };
 
 /// The library's top-level entry point: reviews of one item in, the k most
@@ -247,6 +270,33 @@ class ReviewSummarizer {
   /// top of the per-item options.
   Result<ItemSummary> Summarize(const Item& item, int k,
                                 const ExecutionBudget& external) const;
+
+  /// Supplies the graph one solve runs on. It may build a fresh graph with
+  /// BuildGraph or return one shared with other solves of the same item.
+  using GraphSource =
+      std::function<Result<std::shared_ptr<const SummaryGraph>>()>;
+
+  /// The solve half: as above, but the graph comes from `graph_source`
+  /// instead of being built here. The request checks run first and on
+  /// every call: k, item validation, strict validation and the budget
+  /// check at entry. Only then is `graph_source` called, exactly once,
+  /// and the fallback chain runs on what it returns. A graph-source
+  /// error is returned as is. The graph must have been built by
+  /// BuildGraph of a summarizer with the same ε, auto_epsilon and
+  /// granularity, from this `item` (and, under auto_epsilon, this k).
+  /// Plain Summarize is this call with a source that runs BuildGraph.
+  Result<ItemSummary> Summarize(const Item& item, int k,
+                                const ExecutionBudget& external,
+                                const GraphSource& graph_source) const;
+
+  /// The build half: validates `item` and builds its coverage graph under
+  /// the configured ε (or, under auto_epsilon, the elbow's choice for
+  /// this k; k is ignored otherwise), granularity, graph_build_threads and
+  /// max_memory_bytes. Build failures (memory bound, the
+  /// "osrs.coverage.alloc" failpoint) have no partial result and are
+  /// returned as is.
+  Result<std::shared_ptr<const SummaryGraph>> BuildGraph(const Item& item,
+                                                         int k) const;
 
   const ReviewSummarizerOptions& options() const { return options_; }
 

@@ -26,6 +26,8 @@ const char* RequestSpanKindName(RequestSpanKind kind) {
       return "shed_decision";
     case RequestSpanKind::kSolve:
       return "solve";
+    case RequestSpanKind::kGraphBuild:
+      return "graph_build";
     case RequestSpanKind::kStaleFallback:
       return "stale_fallback";
     case RequestSpanKind::kCoalescedWait:

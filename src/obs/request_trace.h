@@ -53,6 +53,9 @@ enum class RequestSpanKind {
   kQueueWait,      // enqueue to dequeue (recorded post-hoc by the worker)
   kShedDecision,   // budget-vs-p50 shed evaluation at dequeue
   kSolve,          // the solver invocation
+  kGraphBuild,     // inside kSolve: building (or waiting on another
+                   // solve's build of) the item version's coverage graph;
+                   // absent when the graph was already built
   kStaleFallback,  // stale-cache lookup after a shed/failed solve
   kCoalescedWait,  // a follower's wait on another request's flight
 };

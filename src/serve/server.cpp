@@ -45,6 +45,29 @@ obs::Histogram* SolveMsHistogram() {
   return histogram;
 }
 
+obs::Gauge* GraphBytesGauge() {
+  static obs::Gauge* gauge =
+      obs::MetricsRegistry::Global().GetGauge("osrs.serve.graph_bytes");
+  return gauge;
+}
+
+/// Exception boundary: whatever escapes `fn` — an injected bad_alloc, a
+/// real allocation failure, a defect — becomes a Status naming `what`.
+template <typename Fn>
+auto CatchAll(const char* what, Fn&& fn) -> decltype(fn()) {
+  try {
+    return fn();
+  } catch (const std::bad_alloc&) {
+    return Status::ResourceExhausted(
+        StrFormat("allocation failure during %s", what));
+  } catch (const std::exception& e) {
+    return Status::Internal(
+        StrFormat("exception escaped %s: %s", what, e.what()));
+  } catch (...) {
+    return Status::Internal(StrFormat("unknown exception escaped %s", what));
+  }
+}
+
 obs::Histogram* TotalMsHistogram() {
   static obs::Histogram* histogram =
       obs::MetricsRegistry::Global().GetHistogram("osrs.serve.total_ms",
@@ -79,14 +102,16 @@ std::string ServerCounters::ToJson() const {
       "{\"submitted\":%lld,\"admitted\":%lld,\"rejected\":%lld,"
       "\"completed\":%lld,\"shed\":%lld,\"failed\":%lld,"
       "\"coalesced\":%lld,\"solves\":%lld,\"cache_hits\":%lld,"
-      "\"degraded\":%lld,\"epoch_bumps\":%lld,\"watchdog_stalls\":%lld}",
+      "\"degraded\":%lld,\"epoch_bumps\":%lld,\"watchdog_stalls\":%lld,"
+      "\"graph_builds\":%lld}",
       static_cast<long long>(submitted), static_cast<long long>(admitted),
       static_cast<long long>(rejected), static_cast<long long>(completed),
       static_cast<long long>(shed), static_cast<long long>(failed),
       static_cast<long long>(coalesced), static_cast<long long>(solves),
       static_cast<long long>(cache_hits), static_cast<long long>(degraded),
       static_cast<long long>(epoch_bumps),
-      static_cast<long long>(watchdog_stalls));
+      static_cast<long long>(watchdog_stalls),
+      static_cast<long long>(graph_builds));
 }
 
 /// One in-flight solve plus every request attached to it. The first
@@ -117,6 +142,28 @@ struct SummaryServer::Flight {
   ServeResponse response OSRS_GUARDED_BY(mutex);
 };
 
+/// One immutable version of a served item and the coverage graph built
+/// for it. The graph slot is filled by the first solve of the version;
+/// solves that need it meanwhile, for any k, wait on that one build. A
+/// failed build leaves the slot empty, so the next solve retries.
+/// UpdateItem replaces the whole version, and the old graph goes with the
+/// last flight that still holds the old version.
+struct SummaryServer::ItemVersion {
+  explicit ItemVersion(Item version_item) : item(std::move(version_item)) {}
+  ~ItemVersion() {
+    // Nothing else can hold the version now, so the slot is read unlocked.
+    if (graph != nullptr) {
+      GraphBytesGauge()->Add(-static_cast<int64_t>(graph->EstimateBytes()));
+    }
+  }
+
+  const Item item;
+  Mutex mutex;
+  CondVar built_cv;
+  bool building OSRS_GUARDED_BY(mutex) = false;
+  std::shared_ptr<const SummaryGraph> graph OSRS_GUARDED_BY(mutex);
+};
+
 SummaryServer::SummaryServer(const Ontology* ontology, std::vector<Item> items,
                              ServeOptions options)
     : ontology_(ontology),
@@ -133,7 +180,7 @@ SummaryServer::SummaryServer(const Ontology* ontology, std::vector<Item> items,
     MutexLock lock(items_mutex_);
     for (Item& item : items) {
       std::string id = item.id;
-      items_[std::move(id)] = std::make_shared<const Item>(std::move(item));
+      items_[std::move(id)] = std::make_shared<ItemVersion>(std::move(item));
     }
   }
   // First boot (or first boot with a fresh state dir): make the initial
@@ -217,7 +264,9 @@ store::SnapshotData SummaryServer::CaptureState() {
   {
     MutexLock lock(items_mutex_);
     state.items.reserve(items_.size());
-    for (const auto& [id, item] : items_) state.items.push_back(*item);
+    for (const auto& [id, version] : items_) {
+      state.items.push_back(version->item);
+    }
   }
   state.epoch = epoch_.value();
   return state;
@@ -263,17 +312,23 @@ uint64_t SummaryServer::BumpEpoch() {
 
 void SummaryServer::UpdateItem(Item item) {
   MutexLock mutation_lock(mutation_mutex_);
-  auto snapshot = std::make_shared<const Item>(std::move(item));
+  auto version = std::make_shared<ItemVersion>(std::move(item));
+  // The replaced version is released after items_mutex_ is dropped: when
+  // no flight holds it, that frees its graph, which readers need not wait
+  // for.
+  std::shared_ptr<ItemVersion> replaced;
   {
     MutexLock lock(items_mutex_);
-    items_[snapshot->id] = snapshot;
+    std::shared_ptr<ItemVersion>& slot = items_[version->item.id];
+    replaced = std::move(slot);
+    slot = version;
   }
   uint64_t next = epoch_.Bump();
   {
     MutexLock lock(counters_mutex_);
     ++counters_.epoch_bumps;
   }
-  JournalMutation(snapshot.get(), next);
+  JournalMutation(&version->item, next);
 }
 
 Status SummaryServer::ForceSnapshot() {
@@ -377,13 +432,12 @@ ServeResponse SummaryServer::ServeImpl(const ServeRequest& request) {
         StrFormat("k must be >= 0, got %d", request.k)));
   }
 
-  std::shared_ptr<const Item> item;
+  bool known = false;
   {
     MutexLock lock(items_mutex_);
-    auto it = items_.find(request.item_id);
-    if (it != items_.end()) item = it->second;
+    known = items_.count(request.item_id) > 0;
   }
-  if (item == nullptr) {
+  if (!known) {
     return reject(Status::NotFound(
         StrFormat("no item '%s' loaded", request.item_id.c_str())));
   }
@@ -636,13 +690,13 @@ void SummaryServer::ProcessFlight(const std::shared_ptr<Flight>& flight,
     return;
   }
 
-  std::shared_ptr<const Item> item;
+  std::shared_ptr<ItemVersion> version;
   {
     MutexLock lock(items_mutex_);
     auto it = items_.find(flight->cache_key.item_id);
-    if (it != items_.end()) item = it->second;
+    if (it != items_.end()) version = it->second;
   }
-  if (item == nullptr) {
+  if (version == nullptr) {
     // UpdateItem cannot remove items today, but keep the invariant local:
     // a flight must never dereference a null item.
     response.status = Status::NotFound(StrFormat(
@@ -668,7 +722,7 @@ void SummaryServer::ProcessFlight(const std::shared_ptr<Flight>& flight,
   Stopwatch solve_watch;
   size_t solve_span = flight->trace.BeginSpan(obs::RequestSpanKind::kSolve);
   Result<ItemSummary> solved =
-      GuardedSolve(*item, flight->cache_key.k, budget);
+      GuardedSolve(*version, flight->cache_key.k, budget, &flight->trace);
   flight->trace.EndSpan(solve_span);
   worker_state.solve_start_ns.store(-1, std::memory_order_release);
   double solve_ms = solve_watch.ElapsedMillis();
@@ -753,23 +807,65 @@ bool SummaryServer::TryServeStale(Flight& flight, ServeResponse* response) {
   return true;
 }
 
-Result<ItemSummary> SummaryServer::GuardedSolve(const Item& item, int k,
-                                                const ExecutionBudget& budget) {
+Result<ItemSummary> SummaryServer::GuardedSolve(ItemVersion& version, int k,
+                                                const ExecutionBudget& budget,
+                                                obs::RequestTrace* trace) {
   OSRS_RETURN_IF_ERROR(OSRS_FAILPOINT("osrs.serve.solve"));
-  // Exception boundary: whatever escapes a solve — an injected bad_alloc,
-  // a real allocation failure, a defect — is isolated to this flight. The
-  // process must outlive any single request.
-  try {
+  // The process must outlive any single request, so nothing a solve
+  // throws leaves this flight.
+  return CatchAll("solve", [&]() -> Result<ItemSummary> {
     ReviewSummarizer summarizer(ontology_, options_.summarizer);
-    return summarizer.Summarize(item, k, budget);
-  } catch (const std::bad_alloc&) {
-    return Status::ResourceExhausted("allocation failure during solve");
-  } catch (const std::exception& e) {
-    return Status::Internal(
-        StrFormat("exception escaped solve: %s", e.what()));
-  } catch (...) {
-    return Status::Internal("unknown exception escaped solve");
+    return summarizer.Summarize(version.item, k, budget, [&] {
+      return AcquireGraph(version, summarizer, k, trace);
+    });
+  });
+}
+
+Result<std::shared_ptr<const SummaryGraph>> SummaryServer::AcquireGraph(
+    ItemVersion& version, const ReviewSummarizer& summarizer, int k,
+    obs::RequestTrace* trace) {
+  const int64_t start_ns = trace->ElapsedNanos();
+  // Under auto_epsilon the elbow picks ε for this k, so the graph serves
+  // only the solve that built it and never enters the slot.
+  const bool shared = !options_.summarizer.auto_epsilon;
+  if (shared) {
+    MutexLock lock(version.mutex);
+    bool waited = false;
+    while (version.graph == nullptr && version.building) {
+      waited = true;
+      version.built_cv.Wait(version.mutex);
+    }
+    if (version.graph != nullptr) {
+      if (waited) {
+        trace->AddSpan(obs::RequestSpanKind::kGraphBuild, start_ns,
+                       trace->ElapsedNanos() - start_ns);
+      }
+      return version.graph;
+    }
+    version.building = true;
   }
+  // Built outside the slot lock; CatchAll keeps a throwing build from
+  // leaving the slot marked as building forever.
+  Result<std::shared_ptr<const SummaryGraph>> built = CatchAll(
+      "graph build", [&] { return summarizer.BuildGraph(version.item, k); });
+  if (shared) {
+    {
+      MutexLock lock(version.mutex);
+      version.building = false;
+      if (built.ok()) version.graph = *built;
+    }
+    version.built_cv.NotifyAll();
+    if (built.ok()) {
+      GraphBytesGauge()->Add(static_cast<int64_t>((*built)->EstimateBytes()));
+    }
+  }
+  if (built.ok()) {
+    MutexLock lock(counters_mutex_);
+    ++counters_.graph_builds;
+  }
+  trace->AddSpan(obs::RequestSpanKind::kGraphBuild, start_ns,
+                 trace->ElapsedNanos() - start_ns);
+  return built;
 }
 
 void SummaryServer::CompleteFlight(const std::shared_ptr<Flight>& flight,

@@ -24,7 +24,10 @@
 //
 // Results are cached in a bounded LRU keyed by (item, corpus epoch,
 // options fingerprint, k); BumpEpoch() invalidates the whole corpus
-// generation in O(1) without touching entries. Failpoints
+// generation in O(1) without touching entries. Below the result cache,
+// each item version's coverage graph is built once, on its first solve,
+// and shared by every later solve of that version whatever its k (not
+// under auto_epsilon, whose ε depends on k). Failpoints
 // osrs.serve.{admit,solve,cache} let the chaos suite drive every path;
 // an exception escaping a solve (injected bad_alloc included) is isolated
 // to that request — the process never dies.
@@ -115,7 +118,9 @@ struct ServeRequest {
   /// Wall-clock budget for this request (queue wait included); <= 0 uses
   /// ServeOptions::default_deadline_ms.
   double deadline_ms = 0.0;
-  /// Skip the exact-hit cache read (the result is still inserted).
+  /// Skip the exact-hit cache read (the result is still inserted). Only
+  /// the summary cache is skipped: the solve still reuses the item
+  /// version's coverage graph when an earlier solve built it.
   bool bypass_cache = false;
 };
 
@@ -175,6 +180,9 @@ struct ServerCounters {
   int64_t degraded = 0;    // responses with degraded == true
   int64_t epoch_bumps = 0;
   int64_t watchdog_stalls = 0;  // solves cancelled by the stall watchdog
+  /// Coverage graphs built by solves (successful builds only): one per item
+  /// version that was read, or one per solve under auto_epsilon.
+  int64_t graph_builds = 0;
 
   std::string ToJson() const;
 };
@@ -209,8 +217,10 @@ class SummaryServer {
 
   /// Replaces (or adds) one item and bumps the epoch — the minimal
   /// "reviews arrived" mutation the future incremental engine will do
-  /// in-place. With persistence on, the mutation is journaled (committed
-  /// per the fsync policy) before this returns.
+  /// in-place. The new version's graph is built by its first solve; the
+  /// old version's graph is freed once no solve uses it any more. With
+  /// persistence on, the mutation is journaled (committed per the fsync
+  /// policy) before this returns.
   void UpdateItem(Item item)
       OSRS_EXCLUDES(mutation_mutex_, items_mutex_, counters_mutex_);
 
@@ -261,6 +271,7 @@ class SummaryServer {
 
  private:
   struct Flight;
+  struct ItemVersion;
 
   /// Per-worker progress the watchdog samples. The solve start time is a
   /// nanosecond offset on the shared watchdog clock (-1 = idle);
@@ -297,8 +308,17 @@ class SummaryServer {
                       ServeResponse response)
       OSRS_EXCLUDES(mutex_, counters_mutex_);
   void ObserveSolveCost(double ms) OSRS_EXCLUDES(cost_mutex_);
-  Result<ItemSummary> GuardedSolve(const Item& item, int k,
-                                   const ExecutionBudget& budget);
+  Result<ItemSummary> GuardedSolve(ItemVersion& version, int k,
+                                   const ExecutionBudget& budget,
+                                   obs::RequestTrace* trace)
+      OSRS_EXCLUDES(counters_mutex_);
+  /// The graph source of one solve: the version's shared graph, built by
+  /// this call when no earlier solve has built it, waited for when another
+  /// solve is building it. Records a kGraphBuild span on `trace` unless
+  /// the graph was already there.
+  Result<std::shared_ptr<const SummaryGraph>> AcquireGraph(
+      ItemVersion& version, const ReviewSummarizer& summarizer, int k,
+      obs::RequestTrace* trace) OSRS_EXCLUDES(counters_mutex_);
   /// Stale-cache fallback; returns true and fills `response` when a
   /// degraded answer exists and policy allows serving it. Records a
   /// kStaleFallback span on the flight's trace either way.
@@ -311,10 +331,12 @@ class SummaryServer {
   /// it without a lock).
   const int num_workers_;
 
-  /// Immutable snapshots so a worker can solve against an item while
-  /// UpdateItem swaps the map entry underneath it.
+  /// Immutable item versions so a worker can solve against an item while
+  /// UpdateItem swaps the map entry underneath it. Each carries the
+  /// coverage graph built for it, so graph memory is one graph per live
+  /// item plus replaced versions that in-flight solves still hold.
   mutable Mutex items_mutex_;  // UpdateItem vs worker reads
-  std::unordered_map<std::string, std::shared_ptr<const Item>> items_
+  std::unordered_map<std::string, std::shared_ptr<ItemVersion>> items_
       OSRS_GUARDED_BY(items_mutex_);
 
   CorpusEpoch epoch_;

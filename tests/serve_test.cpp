@@ -1,5 +1,6 @@
 // Tests of the overload-resilient serving layer (src/serve): the bounded
-// epoch-keyed summary cache, single-flight coalescing, admission control,
+// epoch-keyed summary cache, the per-item-version coverage graph shared
+// across solves, single-flight coalescing, admission control,
 // deadline-aware load shedding, degraded stale serving, failpoint-driven
 // chaos behavior, and the request-accounting identities
 // (submitted == admitted + rejected; admitted == completed + shed + failed
@@ -18,7 +19,9 @@
 #include "common/slog.h"
 #include "common/strings.h"
 #include "core/model.h"
+#include "datagen/cellphone_corpus.h"
 #include "fault/failpoint.h"
+#include "obs/metrics.h"
 #include "obs/request_trace.h"
 #include "ontology/cellphone_hierarchy.h"
 #include "ontology/ontology.h"
@@ -501,6 +504,32 @@ TEST_F(ServeTest, InjectedBadAllocIsIsolatedToItsRequest) {
   ServeResponse ok = server.Serve(request);
   ASSERT_TRUE(ok.status.ok()) << ok.status.ToString();
   EXPECT_EQ(ok.outcome, ServeOutcome::kSolved);
+  // The failed build stored nothing: the healthy read built the graph
+  // afresh, and that is the only build counted.
+  EXPECT_TRUE(ok.trace.HasSpan(obs::RequestSpanKind::kGraphBuild));
+  EXPECT_EQ(server.counters().graph_builds, 1);
+}
+
+TEST_F(ServeTest, OverMemoryLimitItemFailsEveryRead) {
+  ServeOptions options;
+  options.num_threads = 1;
+  options.cache_capacity = 0;
+  options.summarizer.max_memory_bytes = 64;  // below any real graph
+  SummaryServer server(&onto_, Items(1), options);
+
+  ServeRequest request;
+  request.item_id = "item0";
+  for (int read = 0; read < 3; ++read) {
+    request.k = 1 + read;
+    ServeResponse response = server.Serve(request);
+    EXPECT_EQ(response.outcome, ServeOutcome::kFailed) << "read " << read;
+    EXPECT_EQ(response.status.code(), StatusCode::kResourceExhausted)
+        << "read " << read << ": " << response.status.ToString();
+    EXPECT_TRUE(response.trace.HasSpan(obs::RequestSpanKind::kGraphBuild))
+        << "read " << read << " must try the build again";
+  }
+  EXPECT_EQ(server.counters().graph_builds, 0);
+  EXPECT_EQ(server.counters().failed, 3);
 }
 
 TEST_F(ServeTest, CacheFailpointDegradesToMissNeverFailsRequests) {
@@ -590,6 +619,202 @@ TEST_F(ServeTest, StopDrainsQueuedRequestsAndRejectsNewOnes) {
   EXPECT_EQ(counters.submitted, counters.admitted + counters.rejected);
   EXPECT_EQ(counters.admitted,
             counters.completed + counters.shed + counters.failed);
+}
+
+// ---------------------------------------------- shared coverage graph -----
+
+/// A generated phone item of ~100 reviews (343 pairs), and the same item
+/// after `extra` more reviews arrived from another item of the corpus.
+class SharedGraphTest : public ServeTest {
+ protected:
+  void SetUp() override {
+    ServeTest::SetUp();
+    Corpus corpus = GenerateCellPhoneCorpus({.scale = 0.05});
+    onto_ = std::move(corpus.ontology);
+    item_ = corpus.items[2];
+    donor_ = corpus.items[1];
+  }
+
+  Item NextVersion(int extra) const {
+    Item next = item_;
+    for (int r = 0; r < extra; ++r) {
+      next.reviews.push_back(donor_.reviews[static_cast<size_t>(r)]);
+    }
+    return next;
+  }
+
+  /// Serves `item_id` at k = 1..10 (cache bypassed) and checks each answer
+  /// against a cold facade solve of `expected`, bit for bit.
+  void ExpectColdAnswers(SummaryServer& server, const Item& expected,
+                         const ReviewSummarizerOptions& summarizer_options,
+                         const std::string& context) {
+    ReviewSummarizer cold(&onto_, summarizer_options);
+    for (int k = 1; k <= 10; ++k) {
+      ServeRequest request;
+      request.item_id = expected.id;
+      request.k = k;
+      request.bypass_cache = true;
+      ServeResponse served = server.Serve(request);
+      ASSERT_TRUE(served.status.ok())
+          << context << " k=" << k << ": " << served.status.ToString();
+      ASSERT_EQ(served.outcome, ServeOutcome::kSolved);
+      auto direct = cold.Summarize(expected, k);
+      ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+      EXPECT_EQ(Fingerprint(served.summary), Fingerprint(*direct))
+          << context << " k=" << k;
+    }
+  }
+
+  Item item_;
+  Item donor_;
+};
+
+TEST_F(SharedGraphTest, ServedAnswersEqualColdSolvesAcrossBumpAndUpdate) {
+  for (SummaryGranularity granularity :
+       {SummaryGranularity::kPairs, SummaryGranularity::kSentences,
+        SummaryGranularity::kReviews}) {
+    SCOPED_TRACE(static_cast<int>(granularity));
+    ServeOptions options;
+    options.num_threads = 2;
+    options.summarizer.granularity = granularity;
+    SummaryServer server(&onto_, {item_}, options);
+
+    ExpectColdAnswers(server, item_, options.summarizer, "first version");
+    EXPECT_EQ(server.counters().graph_builds, 1)
+        << "ten reads of one version must share one graph";
+
+    // An epoch bump invalidates summaries, not the item: same graph.
+    server.BumpEpoch();
+    ExpectColdAnswers(server, item_, options.summarizer, "after bump");
+    EXPECT_EQ(server.counters().graph_builds, 1);
+
+    // A new version is built once; every answer is the new version's.
+    const Item next = NextVersion(5);
+    server.UpdateItem(next);
+    ExpectColdAnswers(server, next, options.summarizer, "after update");
+    EXPECT_EQ(server.counters().graph_builds, 2);
+  }
+}
+
+TEST_F(SharedGraphTest, GraphBuildSpanMarksOnlyTheReadThatBuilt) {
+  obs::MetricsRegistry::Global().SetEnabled(true);
+  obs::Gauge* graph_bytes =
+      obs::MetricsRegistry::Global().GetGauge("osrs.serve.graph_bytes");
+  const int64_t bytes_before = graph_bytes->value();
+  {
+    // One worker: when a response arrives, the worker has released the
+    // previous flight's item version, so the gauge is exact.
+    ServeOptions options;
+    options.num_threads = 1;
+    SummaryServer server(&onto_, {item_}, options);
+    ReviewSummarizer facade(&onto_, options.summarizer);
+
+    ServeRequest request;
+    request.item_id = item_.id;
+    request.bypass_cache = true;
+    request.k = 3;
+    ServeResponse first = server.Serve(request);
+    ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+    EXPECT_TRUE(first.trace.HasSpan(obs::RequestSpanKind::kGraphBuild));
+    request.k = 4;
+    ServeResponse second = server.Serve(request);
+    ASSERT_TRUE(second.status.ok()) << second.status.ToString();
+    EXPECT_FALSE(second.trace.HasSpan(obs::RequestSpanKind::kGraphBuild))
+        << "a reused graph must not show a build span";
+    auto first_graph = facade.BuildGraph(item_, 3);
+    ASSERT_TRUE(first_graph.ok());
+    EXPECT_EQ(graph_bytes->value() - bytes_before,
+              static_cast<int64_t>((*first_graph)->EstimateBytes()));
+
+    const Item next = NextVersion(5);
+    server.UpdateItem(next);
+    ServeResponse updated = server.Serve(request);
+    ASSERT_TRUE(updated.status.ok()) << updated.status.ToString();
+    EXPECT_TRUE(updated.trace.HasSpan(obs::RequestSpanKind::kGraphBuild));
+    auto next_graph = facade.BuildGraph(next, 4);
+    ASSERT_TRUE(next_graph.ok());
+    EXPECT_NE((*next_graph)->EstimateBytes(), (*first_graph)->EstimateBytes());
+    EXPECT_EQ(graph_bytes->value() - bytes_before,
+              static_cast<int64_t>((*next_graph)->EstimateBytes()))
+        << "the replaced version's graph must be freed";
+    EXPECT_NE(server.counters().ToJson().find("\"graph_builds\":2"),
+              std::string::npos)
+        << server.counters().ToJson();
+  }
+  EXPECT_EQ(graph_bytes->value(), bytes_before)
+      << "stopping the server frees every graph";
+  obs::MetricsRegistry::Global().SetEnabled(false);
+}
+
+TEST_F(SharedGraphTest, ConcurrentDistinctKOnFreshItemBuildOnce) {
+  // Stall the one build so the other reads arrive while it runs.
+  ASSERT_TRUE(FailpointRegistry::Global()
+                  .ArmFromSpec("osrs.coverage.alloc=delay(100):once")
+                  .ok());
+  ServeOptions options;
+  options.num_threads = 8;
+  SummaryServer server(&onto_, {item_}, options);
+
+  constexpr int kClients = 8;
+  std::vector<ServeResponse> responses(kClients);
+  std::vector<std::thread> threads;
+  threads.reserve(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([this, &server, &responses, c] {
+      ServeRequest request;
+      request.item_id = item_.id;
+      request.k = 1 + c;
+      responses[static_cast<size_t>(c)] = server.Serve(request);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  FailpointRegistry::Global().DisarmAll();
+
+  ReviewSummarizer cold(&onto_, options.summarizer);
+  for (int c = 0; c < kClients; ++c) {
+    const ServeResponse& response = responses[static_cast<size_t>(c)];
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    EXPECT_EQ(response.outcome, ServeOutcome::kSolved)
+        << "distinct k never coalesce";
+    EXPECT_TRUE(response.trace.balanced());
+    auto direct = cold.Summarize(item_, 1 + c);
+    ASSERT_TRUE(direct.ok());
+    EXPECT_EQ(Fingerprint(response.summary), Fingerprint(*direct))
+        << "k=" << 1 + c;
+  }
+  EXPECT_EQ(server.counters().solves, kClients);
+  EXPECT_EQ(server.counters().graph_builds, 1)
+      << "concurrent reads of one version must wait on a single build";
+}
+
+TEST_F(SharedGraphTest, AutoEpsilonBuildsPerRequestAndMatchesColdSolves) {
+  ServeOptions options;
+  options.num_threads = 1;
+  options.summarizer.auto_epsilon = true;
+  SummaryServer server(&onto_, {item_}, options);
+  ReviewSummarizer cold(&onto_, options.summarizer);
+
+  // On this item the elbow picks a different ε for k=2 than for k=6, so a
+  // graph shared between the two would answer one of them wrongly.
+  std::vector<double> epsilons;
+  int64_t builds = 0;
+  for (int k : {2, 6, 2}) {
+    ServeRequest request;
+    request.item_id = item_.id;
+    request.k = k;
+    request.bypass_cache = true;
+    ServeResponse served = server.Serve(request);
+    ASSERT_TRUE(served.status.ok()) << served.status.ToString();
+    auto direct = cold.Summarize(item_, k);
+    ASSERT_TRUE(direct.ok());
+    EXPECT_EQ(Fingerprint(served.summary), Fingerprint(*direct)) << "k=" << k;
+    EXPECT_TRUE(served.trace.HasSpan(obs::RequestSpanKind::kGraphBuild));
+    EXPECT_EQ(server.counters().graph_builds, ++builds)
+        << "auto_epsilon must build one graph per request";
+    epsilons.push_back(served.summary.epsilon);
+  }
+  EXPECT_NE(epsilons[0], epsilons[1])
+      << "test item no longer separates the elbow choices of k=2 and k=6";
 }
 
 // ------------------------------------------------- request tracing ---------
