@@ -9,8 +9,8 @@
 # export validated by tools/check_openmetrics.sh), a crash-recovery stage
 # (store-site fault schedule, a kill -9 mid-journal, then a clean restart
 # that must recover the committed prefix), an OSRS_SIMD=OFF build
-# running the solver bit-identity diff plus the tier-1 solver tests on the
-# scalar fallback, a build-only pass over the perfbench/ benchmark
+# running the solver bit-identity diff plus the tier-1 solver, facade and
+# serving tests on the scalar fallback, a build-only pass over the perfbench/ benchmark
 # package, the full suite (chaos included) under ASan+UBSan, and a TSan
 # pass over the multi-threaded BatchSummarizer, serving-layer,
 # sync-primitive, and chaos tests.
@@ -187,7 +187,7 @@ echo "== store bench smoke =="
 # the smoke request count is too small for a stable p99.
 ./build/bench/bench_store --smoke --out=build/BENCH_store_smoke.json
 
-echo "== OSRS_SIMD=OFF build + solver diff + tier-1 solver and serving tests =="
+echo "== OSRS_SIMD=OFF build + solver diff + tier-1 solver, facade and serving tests =="
 # The scalar fallback must be a first-class configuration, not a degraded
 # one: with the AVX2 backend compiled out entirely, every solver has to
 # produce bit-identical summaries and costs (the diff test compares
@@ -195,11 +195,14 @@ echo "== OSRS_SIMD=OFF build + solver diff + tier-1 solver and serving tests =="
 # proving the dispatch layer, while the default build above proves
 # scalar-vs-AVX2) and the solver-facing suites must stay green. serve_test
 # runs here too: its shared-graph differential tests prove served answers
-# equal cold facade solves bit for bit on the scalar kernels as well.
+# (graph reuse, greedy-run slices and extensions) equal cold facade solves
+# bit for bit on the scalar kernels as well. api_test and budget_test
+# prove the facade's greedy-run and fallback paths (a fallback continuing
+# a budget-tripped primary's run) on the scalar kernels.
 run_suite build-nosimd -DOSRS_SIMD=OFF
 (cd build-nosimd && \
  ctest --output-on-failure -j "$JOBS" \
-       -R 'solver_simd_diff_test|solver_test|local_search_test|weighted_coverage_test|indexed_heap_test|property_test|serve_test')
+       -R 'solver_simd_diff_test|solver_test|local_search_test|weighted_coverage_test|indexed_heap_test|property_test|serve_test|api_test|budget_test')
 
 echo "== perfbench build (not run) =="
 # perfbench/ is a standalone CMake package that compiles src/ in Release

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <exception>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "common/hash.h"
@@ -41,18 +43,23 @@ const char* SummaryAlgorithmToString(SummaryAlgorithm algorithm) {
 
 namespace {
 
+/// The heap strategy of a greedy algorithm; none for the others, which
+/// solve through MakeSolver and never touch the graph's runs.
+std::optional<GreedyOptions::Heap> GreedyHeapOf(SummaryAlgorithm algorithm) {
+  switch (algorithm) {
+    case SummaryAlgorithm::kGreedy:
+      return GreedyOptions::Heap::kEager;
+    case SummaryAlgorithm::kGreedyLazy:
+      return GreedyOptions::Heap::kLazy;
+    default:
+      return std::nullopt;
+  }
+}
+
+/// The solver of a non-greedy algorithm.
 std::unique_ptr<Summarizer> MakeSolver(SummaryAlgorithm algorithm,
                                        uint64_t seed) {
   switch (algorithm) {
-    case SummaryAlgorithm::kGreedy:
-      return std::make_unique<GreedySummarizer>();
-    case SummaryAlgorithm::kGreedyLazy: {
-      GreedyOptions greedy_options;
-      greedy_options.heap = GreedyOptions::Heap::kLazy;
-      return std::make_unique<GreedySummarizer>(greedy_options);
-    }
-    case SummaryAlgorithm::kIlp:
-      return std::make_unique<IlpSummarizer>();
     case SummaryAlgorithm::kRandomizedRounding: {
       RandomizedRoundingOptions rr_options;
       rr_options.seed = seed;
@@ -60,8 +67,23 @@ std::unique_ptr<Summarizer> MakeSolver(SummaryAlgorithm algorithm,
     }
     case SummaryAlgorithm::kLocalSearch:
       return std::make_unique<LocalSearchSummarizer>();
+    default:
+      OSRS_CHECK(algorithm == SummaryAlgorithm::kIlp);
+      return std::make_unique<IlpSummarizer>();
   }
-  return std::make_unique<GreedySummarizer>();
+}
+
+/// Folds one greedy attempt's run use, which spanned [begin_ms, end_ms)
+/// of the call, into the call's total.
+void MergeGreedyRunUse(const GreedyRunUse& attempt, double begin_ms,
+                       double end_ms, GreedyRunUse& total) {
+  if (!attempt.active) return;
+  if (!total.active) total.start_ms = begin_ms;
+  total.active = true;
+  total.started = total.started || attempt.started;
+  total.rounds += attempt.rounds;
+  total.waited = total.waited || attempt.waited;
+  total.ms = end_ms - total.start_ms;
 }
 
 Status StrictValidationError(const ValidationReport& report) {
@@ -111,12 +133,94 @@ Status CheckItem(const Item& item, const Ontology& ontology, bool strict,
 
 }  // namespace
 
+SummaryGraph::SummaryGraph(double graph_epsilon, ItemGraph graph)
+    : epsilon(graph_epsilon), item_graph(std::move(graph)) {}
+
+SummaryGraph::~SummaryGraph() = default;
+
 size_t SummaryGraph::EstimateBytes() const {
   const CoverageGraph& graph = item_graph.graph;
   return CoverageGraph::EstimateBytes(
       graph.num_edges(), static_cast<size_t>(graph.num_candidates()),
       static_cast<size_t>(graph.num_targets()),
       graph.target_weights_or_null() != nullptr);
+}
+
+SummaryGraph::RunSlot& SummaryGraph::SlotFor(GreedyOptions::Heap heap) const {
+  return runs_[heap == GreedyOptions::Heap::kEager ? 0 : 1];
+}
+
+int SummaryGraph::GreedyRunRounds(GreedyOptions::Heap heap) const {
+  RunSlot& slot = SlotFor(heap);
+  MutexLock lock(slot.mutex);
+  return slot.run == nullptr ? -1 : slot.run->rounds();
+}
+
+Result<SummaryResult> SummaryGraph::SolveGreedy(GreedyOptions::Heap heap,
+                                                int k,
+                                                const ExecutionBudget& budget,
+                                                GreedyRunUse& use) const {
+  Stopwatch watch;
+  RunSlot& slot = SlotFor(heap);
+  std::unique_ptr<GreedyRun> run;
+  {
+    MutexLock lock(slot.mutex);
+    while (slot.extending) {
+      use.waited = true;
+      use.active = true;
+      slot.extended_cv.Wait(slot.mutex);
+    }
+    if (slot.run != nullptr && slot.run->Covers(k)) {
+      // A pure slice: k rounds are recorded, nothing runs.
+      Result<SummaryResult> sliced = slot.run->Solve(k, budget);
+      if (sliced.ok()) sliced->seconds = watch.ElapsedSeconds();
+      return sliced;
+    }
+    slot.extending = true;
+    run = std::move(slot.run);
+  }
+  // Starting and extending run outside the lock; until the run is back in
+  // the slot, other solves of this heap wait on `extending`. The guard
+  // hands the run back however this call ends, except when the init or a
+  // round throws: then the run is dropped, so the state the interrupted
+  // work left is never read and the next solve starts a new run. A run
+  // whose init failed is null, which also leaves the slot empty.
+  class SlotRelease {
+   public:
+    SlotRelease(RunSlot& slot, std::unique_ptr<GreedyRun>& run)
+        : slot_(slot), run_(run) {}
+    SlotRelease(const SlotRelease&) = delete;
+    SlotRelease& operator=(const SlotRelease&) = delete;
+    ~SlotRelease() {
+      const bool threw = std::uncaught_exceptions() > exceptions_;
+      {
+        MutexLock lock(slot_.mutex);
+        slot_.extending = false;
+        slot_.run = threw ? nullptr : std::move(run_);
+      }
+      slot_.extended_cv.NotifyAll();
+    }
+
+   private:
+    RunSlot& slot_;
+    std::unique_ptr<GreedyRun>& run_;
+    const int exceptions_ = std::uncaught_exceptions();
+  } release(slot, run);
+
+  if (run == nullptr) {
+    use.active = true;
+    Result<std::unique_ptr<GreedyRun>> started =
+        GreedyRun::Start(item_graph.graph, heap, budget);
+    OSRS_RETURN_IF_ERROR(started.status());
+    run = std::move(started).value();
+    use.started = true;
+  }
+  const int rounds_before = run->rounds();
+  Result<SummaryResult> solved = run->Solve(k, budget);
+  use.rounds = run->rounds() - rounds_before;
+  if (use.rounds > 0) use.active = true;
+  if (solved.ok()) solved->seconds = watch.ElapsedSeconds();
+  return solved;
 }
 
 uint64_t OptionsFingerprint(const ReviewSummarizerOptions& options) {
@@ -156,13 +260,17 @@ std::string ItemSummary::ToJson() const {
       "\"stop_reason\":\"%s\",\"budget_spent_ms\":%.3f,"
       "\"solver_seconds\":%.6g,\"retries\":%d,"
       "\"request_id\":%llu,\"trace_id\":\"%016llx\","
-      "\"validation_warnings\":%s,\"stats\":%s},",
+      "\"validation_warnings\":%s,\"stats\":%s,"
+      "\"greedy_run\":{\"started\":%s,\"rounds\":%d,\"waited\":%s,"
+      "\"ms\":%.3f}},",
       degraded ? "true" : "false",
       JsonEscape(SummaryAlgorithmToString(algorithm_used)).c_str(),
       StatusCodeToString(stop_reason), budget_spent_ms, solver_seconds,
       retries, static_cast<unsigned long long>(request_id),
       static_cast<unsigned long long>(trace_id), warnings_json.c_str(),
-      stats.ToJson().c_str());
+      stats.ToJson().c_str(), greedy_run.started ? "true" : "false",
+      greedy_run.rounds, greedy_run.waited ? "true" : "false",
+      greedy_run.ms);
   out += "\"entries\":[";
   for (size_t i = 0; i < entries.size(); ++i) {
     if (i > 0) out += ',';
@@ -231,8 +339,8 @@ Result<std::shared_ptr<const SummaryGraph>> ReviewSummarizer::BuildGraph(
   // partial result to degrade to; surface them for the caller's retry
   // policy — kResourceExhausted and injected codes are retryable.
   OSRS_RETURN_IF_ERROR(built.status());
-  return std::make_shared<const SummaryGraph>(
-      SummaryGraph{epsilon, std::move(built).value()});
+  return std::make_shared<const SummaryGraph>(epsilon,
+                                              std::move(built).value());
 }
 
 Result<ItemSummary> ReviewSummarizer::Summarize(
@@ -291,6 +399,7 @@ Result<ItemSummary> ReviewSummarizer::Summarize(
                   options_.fallback_chain.end());
 
   SummaryResult result;
+  GreedyRunUse greedy_run;
   SummaryAlgorithm algorithm_used = options_.algorithm;
   bool solved = false;
   bool degraded = false;
@@ -301,11 +410,21 @@ Result<ItemSummary> ReviewSummarizer::Summarize(
     const bool final_fallback = attempt > 0 && attempt + 1 == attempts.size();
     const ExecutionBudget attempt_budget =
         final_fallback ? budget.CancellationOnly() : budget;
-    std::unique_ptr<Summarizer> solver =
-        MakeSolver(attempts[attempt], options_.seed + attempt);
     obs::TraceSpan attempt_span(obs::Phase::kSolveAttempt);
-    auto attempt_result =
-        solver->Summarize(item_graph.graph, effective_k, attempt_budget);
+    // Greedy answers from the graph's run, so a greedy fallback after a
+    // budget-tripped greedy primary continues that run instead of redoing
+    // the heap init.
+    const std::optional<GreedyOptions::Heap> heap =
+        GreedyHeapOf(attempts[attempt]);
+    GreedyRunUse use;
+    const double begin_ms = total_watch.ElapsedMillis();
+    Result<SummaryResult> attempt_result =
+        heap.has_value()
+            ? summary_graph->SolveGreedy(*heap, effective_k, attempt_budget,
+                                         use)
+            : MakeSolver(attempts[attempt], options_.seed + attempt)
+                  ->Summarize(item_graph.graph, effective_k, attempt_budget);
+    MergeGreedyRunUse(use, begin_ms, total_watch.ElapsedMillis(), greedy_run);
     if (attempt_result.ok()) {
       result = std::move(*attempt_result);
       algorithm_used = attempts[attempt];
@@ -341,6 +460,7 @@ Result<ItemSummary> ReviewSummarizer::Summarize(
   summary.degraded = degraded;
   summary.algorithm_used = algorithm_used;
   summary.stop_reason = stop_reason;
+  summary.greedy_run = greedy_run;
   summary.num_pairs = item_graph.occurrences.size();
   // Any finding still in the report passed the error gates above, so all
   // that is left to surface are warnings.

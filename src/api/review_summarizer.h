@@ -10,10 +10,12 @@
 
 #include "common/execution_budget.h"
 #include "common/status.h"
+#include "common/sync.h"
 #include "core/model.h"
 #include "coverage/item_graph.h"
 #include "obs/solver_stats.h"
 #include "ontology/ontology.h"
+#include "solver/greedy.h"
 
 namespace osrs {
 
@@ -164,12 +166,35 @@ struct SummaryEntry {
   int sentence_index = -1;  // -1 at pair/review granularity
 };
 
+/// What one solve did with its graph's greedy runs (see SummaryGraph),
+/// over all of its greedy attempts. A pure slice that did not wait leaves
+/// it all unset.
+struct GreedyRunUse {
+  /// The solve ran a heap init that completed: it started a new run.
+  bool started = false;
+  /// Greedy rounds the solve ran.
+  int rounds = 0;
+  /// The solve waited while another solve started or extended the run.
+  bool waited = false;
+  /// Set when the solve ran a heap init (completed or not) or rounds, or
+  /// waited. start_ms and ms then place that work in the call: start_ms
+  /// is when it began, in ms after the call started (the clock
+  /// budget_spent_ms reads), and ms is how long it lasted.
+  bool active = false;
+  double start_ms = 0.0;
+  double ms = 0.0;
+};
+
 /// A computed summary plus diagnostics.
 struct ItemSummary {
   std::vector<SummaryEntry> entries;
   /// Definition 2 coverage cost of the selection.
   double cost = 0.0;
-  /// Solver wall-clock seconds (excludes graph construction).
+  /// Solver wall-clock seconds of the attempt that produced `entries`
+  /// (excludes graph construction). A greedy attempt answered from the
+  /// graph's run reports only what this call did: a pure slice reports
+  /// microseconds, not the time of the rounds it returns; an attempt that
+  /// waited for the run, started it or extended it includes that.
   double solver_seconds = 0.0;
   /// The ε actually used (differs from the configured one under
   /// auto_epsilon).
@@ -198,8 +223,15 @@ struct ItemSummary {
   /// ReviewSummarizerOptions::strict_validation is set.
   std::vector<std::string> validation_warnings;
   /// Per-phase timings and solver progress counters of this solve (empty
-  /// when ReviewSummarizerOptions::collect_stats is false).
+  /// when ReviewSummarizerOptions::collect_stats is false). They count
+  /// only work this call did: a greedy attempt that slices the graph's run
+  /// adds no heap_init or greedy_iterations phase and no counters, and one
+  /// that extends the run adds only its new rounds.
   obs::SolverStats stats;
+  /// What the greedy attempts did with the graph's runs: rendered in the
+  /// diagnostics JSON, and read by SummaryServer for its greedy_runs
+  /// counter and "greedy" span.
+  GreedyRunUse greedy_run;
   /// Transient-failure retries this summary consumed before succeeding.
   /// Always 0 from ReviewSummarizer::Summarize itself — retrying is
   /// BatchSummarizer's job (see BatchSummarizerOptions::retry_policy),
@@ -216,7 +248,8 @@ struct ItemSummary {
   /// Diagnostic fields live only under one "diagnostics" object (degraded,
   /// algorithm, stop_reason, budget_spent_ms, solver_seconds, retries,
   /// request_id, trace_id — the hex log-correlation id —
-  /// validation_warnings, stats); the top level holds the summary itself
+  /// validation_warnings, stats, greedy_run {started, rounds, waited,
+  /// ms}); the top level holds the summary itself
   /// (cost, epsilon, sizes, entries).
   std::string ToJson() const;
 };
@@ -225,16 +258,64 @@ struct ItemSummary {
 /// at the configured granularity, plus the ε it was built for. It depends
 /// only on the item, ε and the granularity, so one graph serves every k
 /// (SummaryServer shares it across the requests for one item version).
-/// Immutable once built; concurrent solves may read it.
-struct SummaryGraph {
+///
+/// Immutable once built, except for its run slot: one resumable GreedyRun
+/// per heap strategy (solver/greedy.h). The first greedy solve on the
+/// graph starts the run, and later ones extend it only as far as the
+/// largest k asked for. Every greedy attempt the facade makes on the graph
+/// with that heap strategy answers from the run, primary and fallback
+/// alike: it slices the run when it is long enough, and otherwise extends
+/// it under its own budget. A slice replays the budget checks of the
+/// rounds it returns, so every answer equals a cold solve bit for bit. A
+/// run is tiny next to its graph (a few bytes per target, per candidate
+/// and per round; see GreedyRun) and shares the graph's lifetime.
+/// Concurrent solves may use the graph; the slot serializes the ones that
+/// extend a run.
+class SummaryGraph {
+ public:
+  SummaryGraph(double epsilon, ItemGraph item_graph);
+  ~SummaryGraph();
+  SummaryGraph(const SummaryGraph&) = delete;
+  SummaryGraph& operator=(const SummaryGraph&) = delete;
+
   /// The ε the graph was built with (the elbow's choice under
   /// auto_epsilon).
-  double epsilon = 0.0;
-  ItemGraph item_graph;
+  const double epsilon;
+  const ItemGraph item_graph;
 
   /// CoverageGraph::EstimateBytes of the graph: the heap bytes of its CSR
-  /// lanes, offsets and root distances.
+  /// lanes, offsets and root distances. The runs are not counted, so the
+  /// figure is fixed from the build on.
   size_t EstimateBytes() const;
+
+  /// A greedy solve of k (in [0, num_candidates]) with `heap` under
+  /// `budget`, answered from the graph's run for that heap: GreedyRun::
+  /// Solve on it, after waiting for any other solve extending it. The run
+  /// stays at its last whole round when a budget, the "osrs.solver.step"
+  /// failpoint or cancellation interrupts a round. An exception thrown by
+  /// the init or a round, or a budget trip during the init, leaves the
+  /// slot empty, so the next solve starts a new run. Records what it did
+  /// in `use`; `seconds` of the result covers the whole call.
+  Result<SummaryResult> SolveGreedy(GreedyOptions::Heap heap, int k,
+                                    const ExecutionBudget& budget,
+                                    GreedyRunUse& use) const;
+
+  /// Rounds recorded by the run for `heap`; -1 while its slot is empty.
+  int GreedyRunRounds(GreedyOptions::Heap heap) const;
+
+ private:
+  struct RunSlot {
+    Mutex mutex;
+    CondVar extended_cv;
+    /// Set while a solve holds the run outside the lock to start or
+    /// extend it; the run is then out of the slot.
+    bool extending OSRS_GUARDED_BY(mutex) = false;
+    std::unique_ptr<GreedyRun> run OSRS_GUARDED_BY(mutex);
+  };
+
+  RunSlot& SlotFor(GreedyOptions::Heap heap) const;
+
+  mutable RunSlot runs_[2];
 };
 
 /// The library's top-level entry point: reviews of one item in, the k most

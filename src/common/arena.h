@@ -13,8 +13,9 @@
 
 namespace osrs {
 
-/// Bump allocator for per-solve scratch (best-distance arrays, gain keys,
-/// heap storage, rounding weights). Every allocation is 64-byte aligned —
+/// Bump allocator for per-solve scratch (rounding weights and draws,
+/// local-search swap state). Greedy keeps its scratch in its GreedyRun
+/// instead, because a run outlives the solve that started it. Every allocation is 64-byte aligned —
 /// one cache line, and the alignment the SIMD kernels (common/simd.h)
 /// want for streaming lane loads — and costs one pointer bump; memory is
 /// reclaimed wholesale by rewinding to a mark, never per object.
@@ -26,8 +27,8 @@ namespace osrs {
 ///     allocated it. In particular no Status/Result payload and no
 ///     SummaryResult field may point into the arena — copy into owned
 ///     containers before returning.
-///   - Frames nest: LocalSearchSummarizer's frame stays open across the
-///     GreedySummarizer seed solve, whose own frame rewinds first.
+///   - Frames nest: a solver called inside another's open frame opens
+///     its own, which rewinds first (LIFO).
 ///
 /// Blocks grow geometrically and are retained across rewinds, so a warmed
 /// arena allocates nothing at steady state. One instance is not

@@ -28,6 +28,8 @@ const char* RequestSpanKindName(RequestSpanKind kind) {
       return "solve";
     case RequestSpanKind::kGraphBuild:
       return "graph_build";
+    case RequestSpanKind::kGreedy:
+      return "greedy";
     case RequestSpanKind::kStaleFallback:
       return "stale_fallback";
     case RequestSpanKind::kCoalescedWait:

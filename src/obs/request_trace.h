@@ -56,6 +56,9 @@ enum class RequestSpanKind {
   kGraphBuild,     // inside kSolve: building (or waiting on another
                    // solve's build of) the item version's coverage graph;
                    // absent when the graph was already built
+  kGreedy,         // inside kSolve: starting or extending the graph's
+                   // greedy run (or waiting on another solve doing so);
+                   // absent when the solve only sliced the run
   kStaleFallback,  // stale-cache lookup after a shed/failed solve
   kCoalescedWait,  // a follower's wait on another request's flight
 };

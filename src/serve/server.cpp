@@ -103,7 +103,7 @@ std::string ServerCounters::ToJson() const {
       "\"completed\":%lld,\"shed\":%lld,\"failed\":%lld,"
       "\"coalesced\":%lld,\"solves\":%lld,\"cache_hits\":%lld,"
       "\"degraded\":%lld,\"epoch_bumps\":%lld,\"watchdog_stalls\":%lld,"
-      "\"graph_builds\":%lld}",
+      "\"graph_builds\":%lld,\"greedy_runs\":%lld}",
       static_cast<long long>(submitted), static_cast<long long>(admitted),
       static_cast<long long>(rejected), static_cast<long long>(completed),
       static_cast<long long>(shed), static_cast<long long>(failed),
@@ -111,7 +111,8 @@ std::string ServerCounters::ToJson() const {
       static_cast<long long>(cache_hits), static_cast<long long>(degraded),
       static_cast<long long>(epoch_bumps),
       static_cast<long long>(watchdog_stalls),
-      static_cast<long long>(graph_builds));
+      static_cast<long long>(graph_builds),
+      static_cast<long long>(greedy_runs));
 }
 
 /// One in-flight solve plus every request attached to it. The first
@@ -813,12 +814,29 @@ Result<ItemSummary> SummaryServer::GuardedSolve(ItemVersion& version, int k,
   OSRS_RETURN_IF_ERROR(OSRS_FAILPOINT("osrs.serve.solve"));
   // The process must outlive any single request, so nothing a solve
   // throws leaves this flight.
-  return CatchAll("solve", [&]() -> Result<ItemSummary> {
-    ReviewSummarizer summarizer(ontology_, options_.summarizer);
-    return summarizer.Summarize(version.item, k, budget, [&] {
-      return AcquireGraph(version, summarizer, k, trace);
-    });
-  });
+  Result<ItemSummary> solved =
+      CatchAll("solve", [&]() -> Result<ItemSummary> {
+        ReviewSummarizer summarizer(ontology_, options_.summarizer);
+        return summarizer.Summarize(version.item, k, budget, [&] {
+          return AcquireGraph(version, summarizer, k, trace);
+        });
+      });
+  if (solved.ok() && solved->greedy_run.active) {
+    // The facade places the greedy work on the clock budget_spent_ms
+    // reads, which stopped as the call returned.
+    const GreedyRunUse& use = solved->greedy_run;
+    const int64_t end_ns = trace->ElapsedNanos();
+    trace->AddSpan(
+        obs::RequestSpanKind::kGreedy,
+        end_ns - static_cast<int64_t>(
+                     (solved->budget_spent_ms - use.start_ms) * 1e6),
+        static_cast<int64_t>(use.ms * 1e6));
+    if (use.started) {
+      MutexLock lock(counters_mutex_);
+      ++counters_.greedy_runs;
+    }
+  }
+  return solved;
 }
 
 Result<std::shared_ptr<const SummaryGraph>> SummaryServer::AcquireGraph(

@@ -27,7 +27,9 @@
 // generation in O(1) without touching entries. Below the result cache,
 // each item version's coverage graph is built once, on its first solve,
 // and shared by every later solve of that version whatever its k (not
-// under auto_epsilon, whose ε depends on k). Failpoints
+// under auto_epsilon, whose ε depends on k); the graph carries its
+// greedy run, so greedy runs its heap init once per version too and
+// later solves slice the run or extend it. Failpoints
 // osrs.serve.{admit,solve,cache} let the chaos suite drive every path;
 // an exception escaping a solve (injected bad_alloc included) is isolated
 // to that request — the process never dies.
@@ -120,7 +122,9 @@ struct ServeRequest {
   double deadline_ms = 0.0;
   /// Skip the exact-hit cache read (the result is still inserted). Only
   /// the summary cache is skipped: the solve still reuses the item
-  /// version's coverage graph when an earlier solve built it.
+  /// version's coverage graph when an earlier solve built it, and a
+  /// greedy solve still answers from that graph's greedy run (a slice, or
+  /// an extension by the missing rounds), which equals a cold solve.
   bool bypass_cache = false;
 };
 
@@ -183,6 +187,10 @@ struct ServerCounters {
   /// Coverage graphs built by solves (successful builds only): one per item
   /// version that was read, or one per solve under auto_epsilon.
   int64_t graph_builds = 0;
+  /// Greedy runs started by successful solves (heap inits that
+  /// completed): about one per item version that was read, since later
+  /// solves of any k slice or extend the version graph's run.
+  int64_t greedy_runs = 0;
 
   std::string ToJson() const;
 };
@@ -308,6 +316,9 @@ class SummaryServer {
                       ServeResponse response)
       OSRS_EXCLUDES(mutex_, counters_mutex_);
   void ObserveSolveCost(double ms) OSRS_EXCLUDES(cost_mutex_);
+  /// One solve of `version` through the facade, exceptions caught. From
+  /// the summary's GreedyRunUse it records a kGreedy span on `trace` and
+  /// counts greedy_runs (only a successful solve reports them).
   Result<ItemSummary> GuardedSolve(ItemVersion& version, int k,
                                    const ExecutionBudget& budget,
                                    obs::RequestTrace* trace)

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "common/arena.h"
@@ -109,7 +111,282 @@ class LazyMaxHeap {
   size_t size_ = 0;
 };
 
+/// The initial-gain scan shared by both heaps: calls `emit(u, gain)` with
+/// δ(u, {r}) for every candidate in id order, polling the budget every
+/// kInitCheckPeriod candidates. The scan's evaluations go to the trace
+/// whether or not the budget trips.
+template <typename Emit>
+Status ScanInitialGains(const CoverageGraph& graph, const float* best,
+                        const ExecutionBudget& budget, Emit emit) {
+  EvalCounter evals;
+  Status status = Status::OK();
+  {
+    obs::TraceSpan init_span(obs::Phase::kHeapInit);
+    for (int u = 0; u < graph.num_candidates(); ++u) {
+      if (u % kInitCheckPeriod == 0) {
+        status = budget.Check();
+        if (!status.ok()) break;
+      }
+      emit(u, GainOf(graph, best, u, evals));
+    }
+  }
+  obs::TraceStat(obs::Stat::kDistanceEvaluations, evals.distance_evals);
+  if (status.ok()) {
+    obs::TraceStat(obs::Stat::kCandidatesConsidered, graph.num_candidates());
+  }
+  return status;
+}
+
+size_t NumCandidates(const CoverageGraph& graph) {
+  return static_cast<size_t>(graph.num_candidates());
+}
+
+/// The paper's Algorithm 2 heap: keys updated in place after every pick.
+class EagerRun final : public GreedyRun {
+ public:
+  explicit EagerRun(const CoverageGraph& graph)
+      // Per candidate: its key, its heap and position slots, its pending
+      // delta and its touched-list slot.
+      : GreedyRun(graph, NumCandidates(graph) *
+                             (sizeof(double) + 2 * sizeof(int32_t) +
+                              sizeof(double) + sizeof(int32_t))),
+        keys_(arena_.AllocateArray<double>(NumCandidates(graph))),
+        pending_delta_(arena_.AllocateArray<double>(NumCandidates(graph))),
+        touched_(arena_.AllocateArray<int32_t>(NumCandidates(graph))) {
+    std::fill(pending_delta_.begin(), pending_delta_.end(), 0.0);
+  }
+
+  bool exhausted() const override { return heap_->empty(); }
+
+ protected:
+  Status Init(const ExecutionBudget& budget) override {
+    OSRS_RETURN_IF_ERROR(ScanInitialGains(
+        graph_, best_.data(), budget, [this](int u, double gain) {
+          keys_[static_cast<size_t>(u)] = gain;
+        }));
+    heap_.emplace(keys_, arena_);
+    return Status::OK();
+  }
+
+  int RunRound(double& cost, int64_t& work, RoundTally& tally) override {
+    IndexedMaxHeap& heap = *heap_;
+    const double* target_weights = graph_.target_weights_or_null();
+    const int chosen = heap.PopMax();
+    ++tally.heap_pops;
+    size_t num_touched = 0;
+
+    // Apply the selection: improve best[] along chosen's edges, and record
+    // how the improvement shrinks the gains of other coverers of those
+    // targets (the neighbor-of-neighbor updates of Algorithm 2, lines
+    // 7-9). This stays scalar — the backward walk needs the old best per
+    // target anyway — while the gain scans vectorize.
+    const CoverageGraph::EdgeLanes edges = graph_.ForwardLanesOf(chosen);
+    tally.evals.distance_evals += static_cast<int64_t>(edges.size);
+    for (size_t i = 0; i < edges.size; ++i) {
+      const int32_t w = edges.endpoint[i];
+      float& current = best_[static_cast<size_t>(w)];
+      if (edges.distance[i] >= current) continue;
+      const double old_best = static_cast<double>(current);
+      const double new_best = static_cast<double>(edges.distance[i]);
+      const double target_weight =
+          target_weights == nullptr ? 1.0
+                                    : target_weights[static_cast<size_t>(w)];
+      current = edges.distance[i];
+      cost -= (old_best - new_best) * target_weight;
+      const CoverageGraph::EdgeLanes covering = graph_.BackwardLanesOf(w);
+      for (size_t j = 0; j < covering.size; ++j) {
+        const int32_t candidate = covering.endpoint[j];
+        if (!heap.Contains(candidate)) continue;
+        const double back_distance =
+            static_cast<double>(covering.distance[j]);
+        double before = std::max(0.0, old_best - back_distance);
+        double after = std::max(0.0, new_best - back_distance);
+        if (before != after) {
+          double& slot = pending_delta_[static_cast<size_t>(candidate)];
+          if (slot == 0.0) touched_[num_touched++] = candidate;
+          slot += (before - after) * target_weight;
+        }
+      }
+    }
+    for (size_t t = 0; t < num_touched; ++t) {
+      const int candidate = touched_[t];
+      double& slot = pending_delta_[static_cast<size_t>(candidate)];
+      heap.UpdateKey(candidate, heap.KeyOf(candidate) - slot);
+      slot = 0.0;
+      ++work;
+    }
+    return chosen;
+  }
+
+  obs::Stat work_stat() const override { return obs::Stat::kKeyUpdates; }
+
+ private:
+  /// The heap's keys, mutated in place by UpdateKey.
+  std::span<double> keys_;
+  std::optional<IndexedMaxHeap> heap_;  // built by Init
+  // Accumulates per-candidate key deltas across all targets improved by
+  // one selection, so each affected candidate gets a single heap update.
+  // Dense array + touched list instead of a hash map: deltas are strictly
+  // positive, so pending_delta_[c] == 0.0 marks "not yet touched this
+  // round" and the reset after applying is O(touched).
+  std::span<double> pending_delta_;
+  std::span<int32_t> touched_;
+};
+
+/// Lazy greedy: stale keys, recomputed only when popped.
+class LazyRun final : public GreedyRun {
+ public:
+  explicit LazyRun(const CoverageGraph& graph)
+      : GreedyRun(graph, NumCandidates(graph) * (sizeof(LazyMaxHeap::Entry) +
+                                                 sizeof(uint8_t))),
+        heap_(NumCandidates(graph), arena_),
+        selected_flag_(arena_.AllocateArray<uint8_t>(NumCandidates(graph))) {
+    std::fill(selected_flag_.begin(), selected_flag_.end(), uint8_t{0});
+  }
+
+  bool exhausted() const override { return heap_.empty(); }
+
+ protected:
+  Status Init(const ExecutionBudget& budget) override {
+    return ScanInitialGains(
+        graph_, best_.data(), budget,
+        [this](int u, double gain) { heap_.Push({gain, u}); });
+  }
+
+  // Staleness is safe because the gain is monotone non-increasing as F
+  // grows (submodularity): a recomputed gain still at the top is exactly
+  // the true maximum. Each candidate has at most one live entry (a pop
+  // either retires or re-pushes it), so capacity n suffices.
+  int RunRound(double& cost, int64_t& work, RoundTally& tally) override {
+    while (true) {
+      const int u = heap_.Pop().id;
+      ++tally.heap_pops;
+      if (selected_flag_[static_cast<size_t>(u)] != 0) continue;
+      double fresh = GainOf(graph_, best_.data(), u, tally.evals);
+      ++work;
+      if (heap_.empty() || fresh >= heap_.Top().gain) {
+        selected_flag_[static_cast<size_t>(u)] = 1;
+        // Apply the pick with the vectorized min-update: best[] improves
+        // in place and the returned covered-cost decrease follows the
+        // fixed accumulation-order contract, so it is bit-identical
+        // between the scalar and AVX2 backends.
+        const CoverageGraph::EdgeLanes edges = graph_.ForwardLanesOf(u);
+        tally.evals.distance_evals += static_cast<int64_t>(edges.size);
+        cost -= simd::ApplyPickMin(edges.endpoint, edges.distance, edges.size,
+                                   best_.data(),
+                                   graph_.target_weights_or_null());
+        return u;
+      }
+      heap_.Push({fresh, u});
+    }
+  }
+
+  obs::Stat work_stat() const override { return obs::Stat::kGainRecomputes; }
+
+ private:
+  LazyMaxHeap heap_;
+  std::span<uint8_t> selected_flag_;
+};
+
 }  // namespace
+
+GreedyRun::GreedyRun(const CoverageGraph& graph, size_t candidate_bytes)
+    : graph_(graph),
+      // One block: best[], the candidate arrays, and a line of alignment
+      // slack per array.
+      arena_(sizeof(float) * static_cast<size_t>(graph.num_targets()) +
+             candidate_bytes + 8 * Arena::kAlignment),
+      best_(arena_.AllocateArray<float>(
+          static_cast<size_t>(graph.num_targets()))),
+      progress_{{graph.EmptySummaryCost(), 0}} {
+  std::copy(graph.root_distances_f32(),
+            graph.root_distances_f32() + graph.num_targets(), best_.begin());
+}
+
+Result<std::unique_ptr<GreedyRun>> GreedyRun::Start(
+    const CoverageGraph& graph, GreedyOptions::Heap heap,
+    const ExecutionBudget& budget) {
+  std::unique_ptr<GreedyRun> run;
+  if (heap == GreedyOptions::Heap::kEager) {
+    run = std::make_unique<EagerRun>(graph);
+  } else {
+    run = std::make_unique<LazyRun>(graph);
+  }
+  OSRS_RETURN_IF_ERROR(run->Init(budget));
+  return run;
+}
+
+Result<StatusCode> GreedyRun::ExtendTo(int k, const ExecutionBudget& budget) {
+  RoundTally tally;
+  const int64_t work_before = progress_.back().work;
+  Status error = Status::OK();
+  StatusCode stop = StatusCode::kOk;
+  {
+    obs::TraceSpan select_span(obs::Phase::kGreedyIterations);
+    while (!Covers(k)) {
+      // Injected failures abort the solve with the injected Status — the
+      // facade's fallback chain then decides what (if anything) runs next.
+      error = OSRS_FAILPOINT("osrs.solver.step");
+      if (!error.ok()) break;
+      Status budget_status = budget.Check(progress_.back().work);
+      if (budget_status.code() == StatusCode::kCancelled) {
+        error = std::move(budget_status);
+        break;
+      }
+      if (!budget_status.ok()) {
+        stop = budget_status.code();
+        break;
+      }
+      Progress next = progress_.back();
+      const int pick = RunRound(next.cost, next.work, tally);
+      picks_.push_back(pick);
+      progress_.push_back(next);
+    }
+  }
+  obs::TraceStat(obs::Stat::kHeapPops, tally.heap_pops);
+  obs::TraceStat(work_stat(), progress_.back().work - work_before);
+  obs::TraceStat(obs::Stat::kDistanceEvaluations, tally.evals.distance_evals);
+  if (!error.ok()) return error;
+  return stop;
+}
+
+SummaryResult GreedyRun::Prefix(int rounds, StatusCode stop_reason) const {
+  SummaryResult result;
+  result.selected.assign(picks_.begin(), picks_.begin() + rounds);
+  result.cost = progress_[static_cast<size_t>(rounds)].cost;
+  result.work = progress_[static_cast<size_t>(rounds)].work;
+  // A partial selection is a valid (smaller) summary: it is the incumbent
+  // a cold solve returns when its budget trips before round `rounds`.
+  result.approximate = stop_reason != StatusCode::kOk;
+  result.stop_reason = stop_reason;
+  return result;
+}
+
+Result<SummaryResult> GreedyRun::Slice(int k,
+                                       const ExecutionBudget& budget) const {
+  const int recorded = std::min(k, rounds());
+  for (int round = 0; round < recorded; ++round) {
+    Status budget_status =
+        budget.Check(progress_[static_cast<size_t>(round)].work);
+    if (budget_status.code() == StatusCode::kCancelled) return budget_status;
+    if (!budget_status.ok()) return Prefix(round, budget_status.code());
+  }
+  return Prefix(recorded);
+}
+
+Result<SummaryResult> GreedyRun::Solve(int k, const ExecutionBudget& budget) {
+  OSRS_DCHECK(k >= 0 && k <= graph_.num_candidates());
+  // A cold solve checks the recorded rounds first, so a budget that trips
+  // inside them stops the answer there and nothing is extended.
+  Result<SummaryResult> result = Slice(k, budget);
+  if (result.ok() && !result->approximate && !Covers(k)) {
+    Result<StatusCode> stop = ExtendTo(k, budget);
+    OSRS_RETURN_IF_ERROR(stop.status());
+    result = Prefix(rounds(), *stop);  // ExtendTo never passes k
+  }
+  if (result.ok()) SolvesCounter()->Increment();
+  return result;
+}
 
 GreedySummarizer::GreedySummarizer(GreedyOptions options)
     : options_(options) {}
@@ -122,229 +399,12 @@ std::string GreedySummarizer::name() const {
 Result<SummaryResult> GreedySummarizer::Summarize(
     const CoverageGraph& graph, int k, const ExecutionBudget& budget) {
   OSRS_RETURN_IF_ERROR(ValidateK(graph, k));
-  return options_.heap == GreedyOptions::Heap::kEager
-             ? SummarizeEager(graph, k, budget)
-             : SummarizeLazy(graph, k, budget);
-}
-
-Result<SummaryResult> GreedySummarizer::SummarizeEager(
-    const CoverageGraph& graph, int k, const ExecutionBudget& budget) {
   Stopwatch watch;
-  const int num_targets = graph.num_targets();
-  const int num_candidates = graph.num_candidates();
-  const double* target_weights = graph.target_weights_or_null();
-
-  // All per-solve scratch lives in the thread's arena and is reclaimed
-  // wholesale by the frame; nothing below may escape into the result or a
-  // Status (see DESIGN.md, "Performance architecture"). best[] is float:
-  // coverage distances are integral hop counts, exact in float, and the
-  // float lane is what the gain kernel streams.
-  Arena& arena = PerThreadSolveArena();
-  ArenaFrame frame(arena);
-  std::span<float> best = arena.AllocateArray<float>(
-      static_cast<size_t>(num_targets));
-  std::copy(graph.root_distances_f32(),
-            graph.root_distances_f32() + num_targets, best.begin());
-
-  // Initialize the max-heap with δ(p, {r}) for every candidate. Before any
-  // selection there is no incumbent, so a tripped budget here is a plain
-  // error.
-  EvalCounter evals;
-  std::span<double> initial_gain =
-      arena.AllocateArray<double>(static_cast<size_t>(num_candidates));
-  {
-    obs::TraceSpan init_span(obs::Phase::kHeapInit);
-    for (int u = 0; u < num_candidates; ++u) {
-      if (u % kInitCheckPeriod == 0) {
-        Status init_status = budget.Check();
-        if (!init_status.ok()) {
-          obs::TraceStat(obs::Stat::kDistanceEvaluations,
-                         evals.distance_evals);
-          return init_status;
-        }
-      }
-      initial_gain[static_cast<size_t>(u)] =
-          GainOf(graph, best.data(), u, evals);
-    }
-  }
-  obs::TraceStat(obs::Stat::kCandidatesConsidered, num_candidates);
-  IndexedMaxHeap heap(initial_gain, arena);
-
-  SummaryResult result;
-  result.cost = graph.EmptySummaryCost();
-  int64_t key_updates = 0;
-  int64_t heap_pops = 0;
-
-  // Accumulates per-candidate key deltas across all targets improved by
-  // one selection, so each affected candidate gets a single heap update.
-  // Dense array + touched list instead of a hash map: deltas are strictly
-  // positive, so pending_delta[c] == 0.0 marks "not yet touched this
-  // round" and the reset after applying is O(touched).
-  std::span<double> pending_delta =
-      arena.AllocateArray<double>(static_cast<size_t>(num_candidates));
-  std::fill(pending_delta.begin(), pending_delta.end(), 0.0);
-  std::span<int32_t> touched =
-      arena.AllocateArray<int32_t>(static_cast<size_t>(num_candidates));
-
-  obs::TraceSpan select_span(obs::Phase::kGreedyIterations);
-  for (int round = 0; round < k && !heap.empty(); ++round) {
-    // Injected failures abort the solve with the injected Status — the
-    // facade's fallback chain then decides what (if anything) runs next.
-    OSRS_RETURN_IF_ERROR(OSRS_FAILPOINT("osrs.solver.step"));
-    Status budget_status = budget.Check(key_updates);
-    if (!budget_status.ok()) {
-      if (budget_status.code() == StatusCode::kCancelled) {
-        return budget_status;
-      }
-      // The partial selection is a valid (smaller) summary: return it as
-      // the incumbent instead of discarding the rounds already done.
-      result.approximate = true;
-      result.stop_reason = budget_status.code();
-      break;
-    }
-    int chosen = heap.PopMax();
-    ++heap_pops;
-    result.selected.push_back(chosen);
-    size_t num_touched = 0;
-
-    // Apply the selection: improve best[] along chosen's edges, and record
-    // how the improvement shrinks the gains of other coverers of those
-    // targets (the neighbor-of-neighbor updates of Algorithm 2, lines
-    // 7-9). This stays scalar — the backward walk needs the old best per
-    // target anyway — while the gain scans above and below vectorize.
-    const CoverageGraph::EdgeLanes edges = graph.ForwardLanesOf(chosen);
-    evals.distance_evals += static_cast<int64_t>(edges.size);
-    for (size_t i = 0; i < edges.size; ++i) {
-      const int32_t w = edges.endpoint[i];
-      float& current = best[static_cast<size_t>(w)];
-      if (edges.distance[i] >= current) continue;
-      const double old_best = static_cast<double>(current);
-      const double new_best = static_cast<double>(edges.distance[i]);
-      const double target_weight =
-          target_weights == nullptr ? 1.0
-                                    : target_weights[static_cast<size_t>(w)];
-      current = edges.distance[i];
-      result.cost -= (old_best - new_best) * target_weight;
-      const CoverageGraph::EdgeLanes covering = graph.BackwardLanesOf(w);
-      for (size_t j = 0; j < covering.size; ++j) {
-        const int32_t candidate = covering.endpoint[j];
-        if (!heap.Contains(candidate)) continue;
-        const double back_distance =
-            static_cast<double>(covering.distance[j]);
-        double before = std::max(0.0, old_best - back_distance);
-        double after = std::max(0.0, new_best - back_distance);
-        if (before != after) {
-          double& slot = pending_delta[static_cast<size_t>(candidate)];
-          if (slot == 0.0) touched[num_touched++] = candidate;
-          slot += (before - after) * target_weight;
-        }
-      }
-    }
-    for (size_t t = 0; t < num_touched; ++t) {
-      const int candidate = touched[t];
-      heap.UpdateKey(candidate, heap.KeyOf(candidate) -
-                                    pending_delta[static_cast<size_t>(
-                                        candidate)]);
-      pending_delta[static_cast<size_t>(candidate)] = 0.0;
-      ++key_updates;
-    }
-  }
-
-  obs::TraceStat(obs::Stat::kHeapPops, heap_pops);
-  obs::TraceStat(obs::Stat::kKeyUpdates, key_updates);
-  obs::TraceStat(obs::Stat::kDistanceEvaluations, evals.distance_evals);
-  SolvesCounter()->Increment();
-  result.seconds = watch.ElapsedSeconds();
-  result.work = key_updates;
-  return result;
-}
-
-Result<SummaryResult> GreedySummarizer::SummarizeLazy(
-    const CoverageGraph& graph, int k, const ExecutionBudget& budget) {
-  Stopwatch watch;
-  const int num_targets = graph.num_targets();
-  const int num_candidates = graph.num_candidates();
-
-  Arena& arena = PerThreadSolveArena();
-  ArenaFrame frame(arena);
-  std::span<float> best =
-      arena.AllocateArray<float>(static_cast<size_t>(num_targets));
-  std::copy(graph.root_distances_f32(),
-            graph.root_distances_f32() + num_targets, best.begin());
-
-  // Max-heap of (possibly stale gain, candidate). Staleness is safe
-  // because the gain is monotone non-increasing as F grows
-  // (submodularity): a recomputed gain still at the top is exactly the
-  // true maximum. Each candidate has at most one live entry (a pop either
-  // retires or re-pushes it), so capacity n suffices.
-  LazyMaxHeap heap(static_cast<size_t>(num_candidates), arena);
-  std::span<uint8_t> selected_flag =
-      arena.AllocateArray<uint8_t>(static_cast<size_t>(num_candidates));
-  std::fill(selected_flag.begin(), selected_flag.end(), uint8_t{0});
-  EvalCounter evals;
-  {
-    obs::TraceSpan init_span(obs::Phase::kHeapInit);
-    for (int u = 0; u < num_candidates; ++u) {
-      if (u % kInitCheckPeriod == 0) {
-        Status init_status = budget.Check();
-        if (!init_status.ok()) {
-          obs::TraceStat(obs::Stat::kDistanceEvaluations,
-                         evals.distance_evals);
-          return init_status;
-        }
-      }
-      heap.Push({GainOf(graph, best.data(), u, evals), u});
-    }
-  }
-  obs::TraceStat(obs::Stat::kCandidatesConsidered, num_candidates);
-
-  SummaryResult result;
-  result.cost = graph.EmptySummaryCost();
-  int64_t recomputes = 0;
-  int64_t heap_pops = 0;
-
-  obs::TraceSpan select_span(obs::Phase::kGreedyIterations);
-  for (int round = 0; round < k && !heap.empty(); ++round) {
-    OSRS_RETURN_IF_ERROR(OSRS_FAILPOINT("osrs.solver.step"));
-    Status budget_status = budget.Check(recomputes);
-    if (!budget_status.ok()) {
-      if (budget_status.code() == StatusCode::kCancelled) {
-        return budget_status;
-      }
-      result.approximate = true;
-      result.stop_reason = budget_status.code();
-      break;
-    }
-    while (true) {
-      const int u = heap.Pop().id;
-      ++heap_pops;
-      if (selected_flag[static_cast<size_t>(u)] != 0) continue;
-      double fresh = GainOf(graph, best.data(), u, evals);
-      ++recomputes;
-      if (heap.empty() || fresh >= heap.Top().gain) {
-        selected_flag[static_cast<size_t>(u)] = 1;
-        result.selected.push_back(u);
-        // Apply the pick with the vectorized min-update: best[] improves
-        // in place and the returned covered-cost decrease follows the
-        // fixed accumulation-order contract, so it is bit-identical
-        // between the scalar and AVX2 backends.
-        const CoverageGraph::EdgeLanes edges = graph.ForwardLanesOf(u);
-        evals.distance_evals += static_cast<int64_t>(edges.size);
-        result.cost -= simd::ApplyPickMin(edges.endpoint, edges.distance,
-                                          edges.size, best.data(),
-                                          graph.target_weights_or_null());
-        break;
-      }
-      heap.Push({fresh, u});
-    }
-  }
-
-  obs::TraceStat(obs::Stat::kHeapPops, heap_pops);
-  obs::TraceStat(obs::Stat::kGainRecomputes, recomputes);
-  obs::TraceStat(obs::Stat::kDistanceEvaluations, evals.distance_evals);
-  SolvesCounter()->Increment();
-  result.seconds = watch.ElapsedSeconds();
-  result.work = recomputes;
+  Result<std::unique_ptr<GreedyRun>> run =
+      GreedyRun::Start(graph, options_.heap, budget);
+  OSRS_RETURN_IF_ERROR(run.status());
+  Result<SummaryResult> result = (*run)->Solve(k, budget);
+  if (result.ok()) result->seconds = watch.ElapsedSeconds();
   return result;
 }
 

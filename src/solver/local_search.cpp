@@ -65,9 +65,9 @@ LocalSearchSummarizer::LocalSearchSummarizer(LocalSearchOptions options)
 Result<SummaryResult> LocalSearchSummarizer::Summarize(
     const CoverageGraph& graph, int k, const ExecutionBudget& budget) {
   Stopwatch watch;
-  // The frame opens before the greedy seed solve: greedy's own frame nests
-  // inside it (LIFO) and rewinds first, leaving this solve's scratch
-  // intact. Nothing arena-backed escapes into the result.
+  // The greedy seed solve keeps its scratch in its own GreedyRun, not in
+  // the arena; only this solve's swap scratch lives under the frame.
+  // Nothing arena-backed escapes into the result.
   Arena& arena = PerThreadSolveArena();
   ArenaFrame frame(arena);
 

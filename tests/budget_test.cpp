@@ -6,6 +6,8 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +22,8 @@
 #include "core/distance.h"
 #include "core/model.h"
 #include "coverage/coverage_graph.h"
+#include "fault/failpoint.h"
+#include "obs/solver_stats.h"
 #include "ontology/cellphone_hierarchy.h"
 #include "ontology/snomed_like.h"
 #include "solver/exhaustive.h"
@@ -370,6 +374,109 @@ TEST(FacadeFallbackTest, RetrySameAlgorithmReseedsRandomizedRounding) {
   EXPECT_EQ(summary->stop_reason, StatusCode::kOk);
 }
 
+// ------------------------------------- greedy fallback continues the run --
+
+/// The value of a solver counter in `stats`, 0 when absent.
+int64_t CounterValue(const obs::SolverStats& stats, const std::string& name) {
+  for (const auto& counter : stats.counters) {
+    if (counter.name == name) return counter.value;
+  }
+  return 0;
+}
+
+/// Checks that `summary` is the unbudgeted greedy answer of `item` at k,
+/// reached with one heap init.
+void ExpectUnbudgetedGreedyWithOneInit(const Ontology& onto, const Item& item,
+                                       int k, const ItemSummary& summary) {
+  ReviewSummarizerOptions plain;
+  plain.granularity = SummaryGranularity::kPairs;
+  auto cold = ReviewSummarizer(&onto, plain).Summarize(item, k);
+  ASSERT_TRUE(cold.ok());
+  EXPECT_EQ(summary.cost, cold->cost);  // bit for bit
+  ASSERT_EQ(summary.entries.size(), cold->entries.size());
+  for (size_t i = 0; i < cold->entries.size(); ++i) {
+    EXPECT_EQ(summary.entries[i].display, cold->entries[i].display);
+  }
+  EXPECT_EQ(CounterValue(summary.stats, "candidates_considered"),
+            static_cast<int64_t>(summary.num_candidates))
+      << "the fallback must continue the primary's run, not redo its init";
+  EXPECT_TRUE(summary.greedy_run.started);
+  EXPECT_EQ(summary.greedy_run.rounds, k) << "every round runs once";
+}
+
+TEST(FacadeFallbackTest, GreedyFallbackContinuesWorkTrippedPrimaryRun) {
+  Ontology onto = BuildCellPhoneHierarchy();
+  Item item = AdversarialItem(onto, 60);
+  ReviewSummarizerOptions options;
+  options.granularity = SummaryGranularity::kPairs;
+  auto unbudgeted = ReviewSummarizer(&onto, options).Summarize(item, 10);
+  ASSERT_TRUE(unbudgeted.ok());
+  const int64_t work = CounterValue(unbudgeted->stats, "key_updates");
+  ASSERT_GT(work, 1);
+
+  options.max_solver_work = work / 2;
+  options.fallback_chain = {SummaryAlgorithm::kGreedy};
+  auto summary = ReviewSummarizer(&onto, options).Summarize(item, 10);
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  EXPECT_TRUE(summary->degraded);
+  EXPECT_EQ(summary->stop_reason, StatusCode::kResourceExhausted);
+  EXPECT_EQ(summary->algorithm_used, SummaryAlgorithm::kGreedy);
+  ExpectUnbudgetedGreedyWithOneInit(onto, item, 10, *summary);
+}
+
+TEST(FacadeFallbackTest, GreedyFallbackContinuesFailpointTrippedPrimaryRun) {
+  Ontology onto = BuildCellPhoneHierarchy();
+  Item item = AdversarialItem(onto, 60);
+  ReviewSummarizerOptions options;
+  options.granularity = SummaryGranularity::kPairs;
+  options.fallback_chain = {SummaryAlgorithm::kGreedy};
+  // The 4th round fails: the primary stops after 3 whole rounds and the
+  // fallback needs only 2 more (hits 5 and 6). A fallback that started
+  // over would hit the 8th evaluation and fail too.
+  ASSERT_TRUE(fault::FailpointRegistry::Global()
+                  .ArmFromSpec("osrs.solver.step=error(unavailable):every(4)")
+                  .ok());
+  auto summary = ReviewSummarizer(&onto, options).Summarize(item, 5);
+  fault::FailpointRegistry::Global().DisarmAll();
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  EXPECT_TRUE(summary->degraded);
+  EXPECT_EQ(summary->stop_reason, StatusCode::kUnavailable);
+  ExpectUnbudgetedGreedyWithOneInit(onto, item, 5, *summary);
+}
+
+TEST(FacadeFallbackTest, ThrowInARoundEmptiesTheRunSlot) {
+  Ontology onto = BuildCellPhoneHierarchy();
+  Item item = AdversarialItem(onto, 60);
+  ReviewSummarizerOptions options;
+  options.granularity = SummaryGranularity::kPairs;
+  ReviewSummarizer summarizer(&onto, options);
+  auto graph = summarizer.BuildGraph(item, 5);
+  ASSERT_TRUE(graph.ok());
+  const std::shared_ptr<const SummaryGraph> shared = *graph;
+  auto source = [&]() -> Result<std::shared_ptr<const SummaryGraph>> {
+    return shared;
+  };
+
+  // Two whole rounds, then the third throws.
+  ASSERT_TRUE(fault::FailpointRegistry::Global()
+                  .ArmFromSpec("osrs.solver.step=bad_alloc:every(3)")
+                  .ok());
+  EXPECT_THROW((void)summarizer.Summarize(item, 5, ExecutionBudget(), source),
+               std::bad_alloc);
+  fault::FailpointRegistry::Global().DisarmAll();
+  EXPECT_EQ(shared->GreedyRunRounds(GreedyOptions::Heap::kEager), -1)
+      << "a throwing round must leave the slot empty";
+
+  auto next = summarizer.Summarize(item, 5, ExecutionBudget(), source);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_FALSE(next->degraded);
+  EXPECT_TRUE(next->greedy_run.started) << "a fresh run replaces the lost one";
+  EXPECT_EQ(shared->GreedyRunRounds(GreedyOptions::Heap::kEager), 5);
+  ExpectUnbudgetedGreedyWithOneInit(onto, item, 5, *next);
+  // The other heap's slot was never touched.
+  EXPECT_EQ(shared->GreedyRunRounds(GreedyOptions::Heap::kLazy), -1);
+}
+
 // ---------------------------------------------------- sentiment validation --
 
 TEST(SentimentValidationTest, RejectsNaNSentiment) {
@@ -531,6 +638,14 @@ TEST(ItemSummaryJsonTest, EscapesDisplayAndRendersDiagnostics) {
                       "\"stop_reason\":\"DeadlineExceeded\""),
             std::string::npos)
       << json;
+  EXPECT_NE(json.find("\"greedy_run\":{\"started\":false,\"rounds\":0,"
+                      "\"waited\":false,\"ms\":0.000}"),
+            std::string::npos)
+      << json;
+  summary.greedy_run.started = true;
+  summary.greedy_run.rounds = 7;
+  EXPECT_NE(summary.ToJson().find("\"started\":true,\"rounds\":7,"),
+            std::string::npos);
   // No raw control characters or unescaped quotes inside string values.
   for (char c : json) EXPECT_GE(static_cast<unsigned char>(c), 0x20u);
 }

@@ -8,6 +8,7 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <thread>
@@ -643,26 +644,34 @@ class SharedGraphTest : public ServeTest {
     return next;
   }
 
-  /// Serves `item_id` at k = 1..10 (cache bypassed) and checks each answer
-  /// against a cold facade solve of `expected`, bit for bit.
-  void ExpectColdAnswers(SummaryServer& server, const Item& expected,
-                         const ReviewSummarizerOptions& summarizer_options,
-                         const std::string& context) {
+  /// Serves `expected.id` at each k of `ks` in order (cache bypassed) and
+  /// checks each answer against a cold facade solve of `expected`, bit for
+  /// bit. Returns the responses in request order.
+  std::vector<ServeResponse> ExpectColdAnswers(
+      SummaryServer& server, const Item& expected,
+      const ReviewSummarizerOptions& summarizer_options,
+      const std::string& context,
+      const std::vector<int>& ks = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10}) {
     ReviewSummarizer cold(&onto_, summarizer_options);
-    for (int k = 1; k <= 10; ++k) {
+    std::vector<ServeResponse> responses;
+    for (int k : ks) {
       ServeRequest request;
       request.item_id = expected.id;
       request.k = k;
       request.bypass_cache = true;
       ServeResponse served = server.Serve(request);
-      ASSERT_TRUE(served.status.ok())
+      EXPECT_TRUE(served.status.ok())
           << context << " k=" << k << ": " << served.status.ToString();
-      ASSERT_EQ(served.outcome, ServeOutcome::kSolved);
+      EXPECT_EQ(served.outcome, ServeOutcome::kSolved) << context;
       auto direct = cold.Summarize(expected, k);
-      ASSERT_TRUE(direct.ok()) << direct.status().ToString();
-      EXPECT_EQ(Fingerprint(served.summary), Fingerprint(*direct))
-          << context << " k=" << k;
+      EXPECT_TRUE(direct.ok()) << direct.status().ToString();
+      if (direct.ok()) {
+        EXPECT_EQ(Fingerprint(served.summary), Fingerprint(*direct))
+            << context << " k=" << k;
+      }
+      responses.push_back(std::move(served));
     }
+    return responses;
   }
 
   Item item_;
@@ -747,44 +756,175 @@ TEST_F(SharedGraphTest, GraphBuildSpanMarksOnlyTheReadThatBuilt) {
 }
 
 TEST_F(SharedGraphTest, ConcurrentDistinctKOnFreshItemBuildOnce) {
-  // Stall the one build so the other reads arrive while it runs.
-  ASSERT_TRUE(FailpointRegistry::Global()
-                  .ArmFromSpec("osrs.coverage.alloc=delay(100):once")
-                  .ok());
-  ServeOptions options;
-  options.num_threads = 8;
-  SummaryServer server(&onto_, {item_}, options);
+  for (SummaryAlgorithm algorithm :
+       {SummaryAlgorithm::kGreedy, SummaryAlgorithm::kGreedyLazy}) {
+    SCOPED_TRACE(SummaryAlgorithmToString(algorithm));
+    // Stall the one build so the other reads arrive while it runs; they
+    // then all reach the version's greedy run at once.
+    ASSERT_TRUE(FailpointRegistry::Global()
+                    .ArmFromSpec("osrs.coverage.alloc=delay(100):once")
+                    .ok());
+    ServeOptions options;
+    options.num_threads = 8;
+    options.summarizer.algorithm = algorithm;
+    SummaryServer server(&onto_, {item_}, options);
 
-  constexpr int kClients = 8;
-  std::vector<ServeResponse> responses(kClients);
-  std::vector<std::thread> threads;
-  threads.reserve(kClients);
-  for (int c = 0; c < kClients; ++c) {
-    threads.emplace_back([this, &server, &responses, c] {
-      ServeRequest request;
-      request.item_id = item_.id;
-      request.k = 1 + c;
-      responses[static_cast<size_t>(c)] = server.Serve(request);
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  FailpointRegistry::Global().DisarmAll();
+    constexpr int kClients = 8;
+    std::vector<ServeResponse> responses(kClients);
+    std::vector<std::thread> threads;
+    threads.reserve(kClients);
+    for (int c = 0; c < kClients; ++c) {
+      threads.emplace_back([this, &server, &responses, c] {
+        ServeRequest request;
+        request.item_id = item_.id;
+        request.k = 1 + c;
+        responses[static_cast<size_t>(c)] = server.Serve(request);
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    FailpointRegistry::Global().DisarmAll();
 
-  ReviewSummarizer cold(&onto_, options.summarizer);
-  for (int c = 0; c < kClients; ++c) {
-    const ServeResponse& response = responses[static_cast<size_t>(c)];
-    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-    EXPECT_EQ(response.outcome, ServeOutcome::kSolved)
-        << "distinct k never coalesce";
-    EXPECT_TRUE(response.trace.balanced());
-    auto direct = cold.Summarize(item_, 1 + c);
-    ASSERT_TRUE(direct.ok());
-    EXPECT_EQ(Fingerprint(response.summary), Fingerprint(*direct))
-        << "k=" << 1 + c;
+    ReviewSummarizer cold(&onto_, options.summarizer);
+    int started = 0;
+    int rounds = 0;
+    for (int c = 0; c < kClients; ++c) {
+      const ServeResponse& response = responses[static_cast<size_t>(c)];
+      ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+      EXPECT_EQ(response.outcome, ServeOutcome::kSolved)
+          << "distinct k never coalesce";
+      EXPECT_TRUE(response.trace.balanced());
+      auto direct = cold.Summarize(item_, 1 + c);
+      ASSERT_TRUE(direct.ok());
+      EXPECT_EQ(Fingerprint(response.summary), Fingerprint(*direct))
+          << "k=" << 1 + c;
+      // Reads that ran rounds or waited on the one that did show a span.
+      EXPECT_EQ(response.trace.HasSpan(obs::RequestSpanKind::kGreedy),
+                response.summary.greedy_run.active);
+      started += response.summary.greedy_run.started ? 1 : 0;
+      rounds += response.summary.greedy_run.rounds;
+    }
+    EXPECT_EQ(server.counters().solves, kClients);
+    EXPECT_EQ(server.counters().graph_builds, 1)
+        << "concurrent reads of one version must wait on a single build";
+    EXPECT_EQ(server.counters().greedy_runs, 1)
+        << "concurrent reads of one version must share one greedy run";
+    EXPECT_EQ(started, 1);
+    EXPECT_EQ(rounds, kClients) << "every round runs once, for the largest k";
   }
-  EXPECT_EQ(server.counters().solves, kClients);
-  EXPECT_EQ(server.counters().graph_builds, 1)
-      << "concurrent reads of one version must wait on a single build";
+}
+
+TEST_F(SharedGraphTest, GreedyRunAnswersAnyKOrderLikeColdSolves) {
+  const std::vector<std::vector<int>> orders = {
+      {10, 9, 8, 7, 6, 5, 4, 3, 2, 1},
+      {1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
+      {4, 9, 1, 7, 10, 2, 6, 3, 8, 5},
+  };
+  const Item next = NextVersion(5);
+  for (SummaryGranularity granularity :
+       {SummaryGranularity::kPairs, SummaryGranularity::kSentences,
+        SummaryGranularity::kReviews}) {
+    for (SummaryAlgorithm algorithm :
+         {SummaryAlgorithm::kGreedy, SummaryAlgorithm::kGreedyLazy}) {
+      for (const std::vector<int>& order : orders) {
+        const std::string context = StrFormat(
+            "granularity %d, %s, first k %d", static_cast<int>(granularity),
+            SummaryAlgorithmToString(algorithm), order.front());
+        ServeOptions options;
+        options.num_threads = 2;
+        options.summarizer.granularity = granularity;
+        options.summarizer.algorithm = algorithm;
+        SummaryServer server(&onto_, {item_}, options);
+
+        std::vector<ServeResponse> first =
+            ExpectColdAnswers(server, item_, options.summarizer, context,
+                              order);
+        EXPECT_EQ(server.counters().greedy_runs, 1) << context;
+        int high = 0;  // the longest the run has been
+        for (size_t i = 0; i < first.size(); ++i) {
+          const GreedyRunUse& use = first[i].summary.greedy_run;
+          EXPECT_EQ(use.started, i == 0) << context;
+          EXPECT_EQ(use.rounds, std::max(0, order[i] - high)) << context;
+          high = std::max(high, order[i]);
+          // A read that only sliced the run shows no greedy span.
+          EXPECT_EQ(first[i].trace.HasSpan(obs::RequestSpanKind::kGreedy),
+                    use.rounds > 0 || use.started)
+              << context << " k=" << order[i];
+        }
+
+        // An epoch bump keeps the version, so its graph and its run: every
+        // answer is a slice.
+        server.BumpEpoch();
+        for (const ServeResponse& sliced : ExpectColdAnswers(
+                 server, item_, options.summarizer, context + " bumped",
+                 order)) {
+          EXPECT_EQ(sliced.summary.greedy_run.rounds, 0) << context;
+          EXPECT_FALSE(sliced.trace.HasSpan(obs::RequestSpanKind::kGreedy));
+        }
+        EXPECT_EQ(server.counters().greedy_runs, 1) << context;
+
+        // A new version starts its own run; the old run never answers
+        // (every answer is the new version's cold answer).
+        server.UpdateItem(next);
+        std::vector<ServeResponse> updated = ExpectColdAnswers(
+            server, next, options.summarizer, context + " updated", order);
+        EXPECT_TRUE(updated.front().summary.greedy_run.started) << context;
+        EXPECT_EQ(server.counters().greedy_runs, 2) << context;
+        EXPECT_EQ(server.counters().graph_builds, 2) << context;
+      }
+    }
+  }
+  // The update must change answers, or the old run could pass for new.
+  ReviewSummarizer cold(&onto_, {});
+  auto old_answer = cold.Summarize(item_, 10);
+  auto new_answer = cold.Summarize(next, 10);
+  ASSERT_TRUE(old_answer.ok() && new_answer.ok());
+  EXPECT_NE(Fingerprint(*old_answer), Fingerprint(*new_answer));
+}
+
+TEST_F(SharedGraphTest, WorkBudgetDegradesServedSlicesLikeColdSolves) {
+  const std::vector<int> shuffled = {4, 9, 1, 7, 10, 2, 6, 3, 8, 5};
+  for (SummaryAlgorithm algorithm :
+       {SummaryAlgorithm::kGreedy, SummaryAlgorithm::kGreedyLazy}) {
+    // Half the work of an unbudgeted k = 10 solve: a cold k = 10 degrades.
+    ReviewSummarizerOptions unbudgeted;
+    unbudgeted.algorithm = algorithm;
+    auto full = ReviewSummarizer(&onto_, unbudgeted).Summarize(item_, 10);
+    ASSERT_TRUE(full.ok());
+    int64_t work = 0;
+    for (const auto& counter : full->stats.counters) {
+      if (counter.name == "key_updates" || counter.name == "gain_recomputes") {
+        work = counter.value;
+      }
+    }
+    ASSERT_GT(work, 1);
+    // With the default chain a greedy fallback finishes what the primary
+    // started; with none the primary's incumbent is the answer.
+    for (const std::vector<SummaryAlgorithm>& chain :
+         {std::vector<SummaryAlgorithm>{SummaryAlgorithm::kGreedy},
+          std::vector<SummaryAlgorithm>{}}) {
+      const std::string context =
+          StrFormat("%s, %zu fallbacks", SummaryAlgorithmToString(algorithm),
+                    chain.size());
+      ServeOptions options;
+      options.num_threads = 2;
+      options.summarizer.algorithm = algorithm;
+      options.summarizer.max_solver_work = work / 2;
+      options.summarizer.fallback_chain = chain;
+      auto cold_ten =
+          ReviewSummarizer(&onto_, options.summarizer).Summarize(item_, 10);
+      ASSERT_TRUE(cold_ten.ok());
+      ASSERT_TRUE(cold_ten->degraded) << context;
+
+      SummaryServer server(&onto_, {item_}, options);
+      int degraded = 0;
+      for (const ServeResponse& served : ExpectColdAnswers(
+               server, item_, options.summarizer, context, shuffled)) {
+        degraded += served.summary.degraded ? 1 : 0;
+      }
+      EXPECT_GT(degraded, 0) << context;
+      EXPECT_LT(degraded, 10) << context << ": small k fit the budget";
+    }
+  }
 }
 
 TEST_F(SharedGraphTest, AutoEpsilonBuildsPerRequestAndMatchesColdSolves) {

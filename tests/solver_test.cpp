@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -117,19 +119,108 @@ TEST(GreedyTest, GreedyIsMonotoneInK) {
   }
 }
 
+/// Selection, cost, work and stop state of two greedy answers, bit for bit.
+void ExpectSameAnswer(const SummaryResult& a, const SummaryResult& b,
+                      const std::string& context) {
+  EXPECT_EQ(a.selected, b.selected) << context;
+  EXPECT_EQ(a.cost, b.cost) << context;  // exact, not near
+  EXPECT_EQ(a.work, b.work) << context;
+  EXPECT_EQ(a.approximate, b.approximate) << context;
+  EXPECT_EQ(a.stop_reason, b.stop_reason) << context;
+}
+
 TEST(GreedyTest, PrefixProperty) {
-  // Greedy with k and k+1 share the first k selections (deterministic ties).
+  // Greedy is prefix-monotone, which is what lets one GreedyRun answer
+  // every k. Extending a run in steps equals a one-shot solve, and every
+  // prefix of the run equals a cold solve at that k bit for bit: for both
+  // heaps, on plain, weighted and group graphs, and under a work budget,
+  // which must trip at the same round on a slice as on a cold solve.
   Instance inst = MakeInstance(11, 50);
   PairDistance dist(&inst.ontology, 0.5);
-  CoverageGraph graph =
-      CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
-  GreedySummarizer greedy;
-  auto small = greedy.Summarize(graph, 4);
-  auto large = greedy.Summarize(graph, 5);
-  ASSERT_TRUE(small.ok());
-  ASSERT_TRUE(large.ok());
-  for (size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(small->selected[i], large->selected[i]);
+  std::vector<double> weights;
+  std::vector<std::vector<int>> groups(17);
+  for (size_t i = 0; i < inst.pairs.size(); ++i) {
+    weights.push_back(1.0 + static_cast<double>(i % 3));
+    groups[i % groups.size()].push_back(static_cast<int>(i));
+  }
+  const std::vector<std::pair<std::string, CoverageGraph>> graphs = {
+      {"pairs", CoverageGraph::TryBuildForPairs(dist, inst.pairs).value()},
+      {"weighted",
+       CoverageGraph::TryBuildForPairsWeighted(dist, inst.pairs, weights)
+           .value()},
+      {"groups",
+       CoverageGraph::TryBuildForGroups(dist, inst.pairs, groups).value()},
+  };
+  const ExecutionBudget unlimited;
+  for (const auto& [graph_name, graph] : graphs) {
+    for (GreedyOptions::Heap heap :
+         {GreedyOptions::Heap::kEager, GreedyOptions::Heap::kLazy}) {
+      GreedyOptions options;
+      options.heap = heap;
+      GreedySummarizer greedy(options);
+      const std::string context =
+          graph_name + "/" + greedy.name();
+
+      auto one_shot = greedy.Summarize(graph, 10);
+      ASSERT_TRUE(one_shot.ok()) << context;
+      auto run = GreedyRun::Start(graph, heap, unlimited);
+      ASSERT_TRUE(run.ok()) << context;
+      for (int step : {3, 7, 10}) {
+        auto stop = (*run)->ExtendTo(step, unlimited);
+        ASSERT_TRUE(stop.ok()) << context;
+        EXPECT_EQ(*stop, StatusCode::kOk) << context;
+        EXPECT_EQ((*run)->rounds(), step) << context;
+      }
+      auto sliced_ten = (*run)->Slice(10, unlimited);
+      ASSERT_TRUE(sliced_ten.ok()) << context;
+      ExpectSameAnswer(*sliced_ten, *one_shot, context + " k=10");
+
+      for (int k = 0; k <= 10; ++k) {
+        auto cold = greedy.Summarize(graph, k);
+        auto sliced = (*run)->Slice(k, unlimited);
+        ASSERT_TRUE(cold.ok() && sliced.ok()) << context;
+        ExpectSameAnswer(*sliced, *cold, context + " k=" + std::to_string(k));
+        // The short run's prefix is the long run's prefix.
+        if (k > 0) {
+          EXPECT_EQ(cold->selected.back(), one_shot->selected[k - 1])
+              << context;
+        }
+      }
+
+      // A work budget set to the work recorded before round 5 trips there,
+      // on the slice and on the cold solve alike; a budget of 1 trips at
+      // the first round that did any work.
+      auto five = (*run)->Slice(5, unlimited);
+      ASSERT_TRUE(five.ok()) << context;
+      ASSERT_GT(five->work, 0) << context;
+      for (int64_t max_work : {int64_t{1}, five->work}) {
+        ExecutionBudget budget;
+        budget.SetMaxWork(max_work);
+        for (int k = 0; k <= 10; ++k) {
+          const std::string at = context + " max_work=" +
+                                 std::to_string(max_work) +
+                                 " k=" + std::to_string(k);
+          auto cold = greedy.Summarize(graph, k, budget);
+          auto sliced = (*run)->Slice(k, budget);
+          ASSERT_TRUE(cold.ok() && sliced.ok()) << at;
+          ExpectSameAnswer(*sliced, *cold, at);
+          // A run extended under the budget stops at that round too, and
+          // stays there.
+          auto fresh = GreedyRun::Start(graph, heap, budget);
+          ASSERT_TRUE(fresh.ok()) << at;
+          auto solved = (*fresh)->Solve(k, budget);
+          ASSERT_TRUE(solved.ok()) << at;
+          ExpectSameAnswer(*solved, *cold, at + " (fresh run)");
+          EXPECT_EQ((*fresh)->rounds(),
+                    static_cast<int>(cold->selected.size()))
+              << at;
+        }
+        auto tripped = greedy.Summarize(graph, 10, budget);
+        ASSERT_TRUE(tripped.ok()) << context;
+        EXPECT_TRUE(tripped->approximate) << context;
+        EXPECT_LE(tripped->selected.size(), 5u) << context;
+      }
+    }
   }
 }
 
