@@ -8,11 +8,11 @@
 // never slower than ILP (it solves only the LP relaxation); time grows
 // from top pairs to top sentences/reviews as the graphs get denser.
 //
-// On top of the figure, the binary micro-benchmarks this PR's two
-// vectorized kernels at 20k+ pairs against faithful re-implementations of
-// the pre-SoA scalar path (AoS {int,double} edges, sequential double
-// accumulation; linear |ds| <= eps bucket scans), plus the end-to-end
-// greedy solver under the scalar and SIMD backends.
+// On top of the figure, the binary micro-benchmarks the vectorized greedy
+// gain kernel at 20k+ pairs against a faithful re-implementation of the
+// pre-SoA scalar path (AoS {int,double} edges, sequential double
+// accumulation), plus the end-to-end greedy solver under the scalar and
+// SIMD backends.
 //
 // Usage:
 //   bench_fig4_time [--smoke] [--stats] [--out=BENCH_solver.json]
@@ -132,8 +132,6 @@ struct KernelResults {
   size_t num_edges = 0;
   double gain_baseline_ms = 0.0;
   double gain_simd_ms = 0.0;
-  double eps_baseline_ms = 0.0;
-  double eps_simd_ms = 0.0;
   double greedy_scalar_ms = 0.0;
   double greedy_simd_ms = 0.0;
 };
@@ -173,42 +171,6 @@ KernelResults RunKernelBench(size_t num_pairs, int reps) {
   OSRS_CHECK_MSG(baseline_sum == simd_sum,
                  "gain kernel disagreement: baseline " << baseline_sum
                                                        << " vs " << simd_sum);
-
-  // --- Sentiment eps-window scan: the builder's per-(target, bucket)
-  // predicate, pre-PR form (linear double scan) vs the masked kernel, over
-  // windows the size of a popular concept bucket.
-  std::vector<double> sentiments(num_pairs);
-  Rng srng(7);
-  for (auto& s : sentiments) {
-    s = -1.0 + 0.0625 * static_cast<double>(srng.NextUint64(33));
-  }
-  std::sort(sentiments.begin(), sentiments.end());
-  const double eps = 0.5;
-  std::vector<double> centers(256);
-  for (auto& c : centers) c = srng.NextDouble(-1.0, 1.0);
-  size_t baseline_hits = 0;
-  out.eps_baseline_ms = TimeMs(reps, [&]() {
-    size_t hits = 0;
-    for (double center : centers) {
-      for (double s : sentiments) {
-        if (std::abs(s - center) <= eps) ++hits;
-      }
-    }
-    baseline_hits = hits;
-  });
-  std::vector<uint64_t> mask((num_pairs + 63) / 64);
-  size_t simd_hits = 0;
-  out.eps_simd_ms = TimeMs(reps, [&]() {
-    size_t hits = 0;
-    for (double center : centers) {
-      hits += simd::EpsWindowMask(sentiments.data(), sentiments.size(),
-                                  center, eps, mask.data());
-    }
-    simd_hits = hits;
-  });
-  OSRS_CHECK_MSG(baseline_hits == simd_hits,
-                 "eps-window disagreement: baseline " << baseline_hits
-                                                      << " vs " << simd_hits);
 
   // --- End-to-end greedy under each backend (same bit-identical result;
   // the delta is pure kernel throughput).
@@ -334,9 +296,6 @@ int Run(int argc, char** argv) {
   std::printf("  greedy gain:    baseline %8.3fms  simd %8.3fms  %5.2fx\n",
               kernels.gain_baseline_ms, kernels.gain_simd_ms,
               kernels.gain_baseline_ms / kernels.gain_simd_ms);
-  std::printf("  eps window:     baseline %8.3fms  simd %8.3fms  %5.2fx\n",
-              kernels.eps_baseline_ms, kernels.eps_simd_ms,
-              kernels.eps_baseline_ms / kernels.eps_simd_ms);
   std::printf("  greedy end2end: scalar   %8.3fms  simd %8.3fms  %5.2fx\n",
               kernels.greedy_scalar_ms, kernels.greedy_simd_ms,
               kernels.greedy_scalar_ms / kernels.greedy_simd_ms);
@@ -361,14 +320,10 @@ int Run(int argc, char** argv) {
           "{\"num_pairs\":%zu,\"num_edges\":%zu,"
           "\"gain_baseline_ms\":%.3f,\"gain_simd_ms\":%.3f,"
           "\"gain_speedup\":%.2f,"
-          "\"eps_window_baseline_ms\":%.3f,\"eps_window_simd_ms\":%.3f,"
-          "\"eps_window_speedup\":%.2f,"
           "\"greedy_scalar_ms\":%.3f,\"greedy_simd_ms\":%.3f,"
           "\"greedy_speedup\":%.2f}",
           kernels.num_pairs, kernels.num_edges, kernels.gain_baseline_ms,
           kernels.gain_simd_ms, kernels.gain_baseline_ms / kernels.gain_simd_ms,
-          kernels.eps_baseline_ms, kernels.eps_simd_ms,
-          kernels.eps_baseline_ms / kernels.eps_simd_ms,
           kernels.greedy_scalar_ms, kernels.greedy_simd_ms,
           kernels.greedy_scalar_ms / kernels.greedy_simd_ms));
   if (!writer.WriteFile(out_path, "bench_fig4_time")) return 2;

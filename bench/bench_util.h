@@ -38,7 +38,9 @@ namespace osrs::bench {
 /// enables the metrics registry and installs a trace on the main thread;
 /// its destructor prints the per-phase breakdown and the registry to
 /// stderr (the paper-style tables on stdout stay clean). Without --stats
-/// it does nothing.
+/// it does nothing. The one trace lives for the whole process and keeps
+/// every span recorded on the main thread (24 bytes each: a few per solve,
+/// one per local-search pass), so --stats memory grows with the run.
 class StatsSession {
  public:
   StatsSession(int argc, char** argv) {
@@ -63,7 +65,7 @@ class StatsSession {
 
  private:
   bool enabled_ = false;
-  obs::SolveTrace trace_;
+  obs::RequestTrace trace_;
   std::unique_ptr<obs::Tracer::Scope> scope_;
 };
 

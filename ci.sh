@@ -6,7 +6,8 @@
 # thread-safety stage (OSRS_THREAD_SAFETY=ON build of the concurrent core
 # plus the negative-compile harness, skipped when clang++ is not
 # installed), an observability stage (live `osrs_serve --drive` metrics
-# export validated by tools/check_openmetrics.sh), a crash-recovery stage
+# export validated by tools/check_openmetrics.sh, and a served trace that
+# must carry the solver phases as spans), a crash-recovery stage
 # (store-site fault schedule, a kill -9 mid-journal, then a clean restart
 # that must recover the committed prefix), an OSRS_SIMD=OFF build
 # running the solver bit-identity diff plus the tier-1 solver, facade and
@@ -122,7 +123,7 @@ else
   ./tests/thread_safety_compile_test/run.sh
 fi
 
-echo "== observability stage: live metrics export + format validation =="
+echo "== observability stage: live metrics export + format validation + served trace =="
 # A real --drive run must leave behind a structurally valid OpenMetrics
 # snapshot: HELP/TYPE lines per family, counter _total suffixes, strictly
 # ascending histogram buckets with monotone cumulative counts, +Inf ==
@@ -130,6 +131,18 @@ echo "== observability stage: live metrics export + format validation =="
 ./build/tools/osrs_serve --drive 200 --clients 4 --scale 0.02 \
     --slow-ms 50 --metrics-file build/metrics_export.prom > /dev/null 2>&1
 ./tools/check_openmetrics.sh build/metrics_export.prom
+# One trace per solve: a served first read must carry the solver's phases
+# as spans under its solve span. osrs_serve runs with collect_stats off, so
+# this also shows the spans do not depend on that flag.
+printf 'get phone-0000 5\ntraces\nquit\n' | \
+    ./build/tools/osrs_serve --scale 0.02 > build/serve_traces.txt 2>&1
+for kind in heap_init build_coverage_graph; do
+  if ! grep -q "\"kind\":\"$kind\"" build/serve_traces.txt; then
+    echo "ci.sh: served trace lacks a $kind span" \
+         "(output build/serve_traces.txt)" >&2
+    exit 1
+  fi
+done
 
 echo "== crash-recovery stage: store faults, kill -9, clean restart =="
 # Three acceptance checks for the durability layer on the real binary:

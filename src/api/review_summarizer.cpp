@@ -73,19 +73,6 @@ std::unique_ptr<Summarizer> MakeSolver(SummaryAlgorithm algorithm,
   }
 }
 
-/// Folds one greedy attempt's run use, which spanned [begin_ms, end_ms)
-/// of the call, into the call's total.
-void MergeGreedyRunUse(const GreedyRunUse& attempt, double begin_ms,
-                       double end_ms, GreedyRunUse& total) {
-  if (!attempt.active) return;
-  if (!total.active) total.start_ms = begin_ms;
-  total.active = true;
-  total.started = total.started || attempt.started;
-  total.rounds += attempt.rounds;
-  total.waited = total.waited || attempt.waited;
-  total.ms = end_ms - total.start_ms;
-}
-
 Status StrictValidationError(const ValidationReport& report) {
   return Status::InvalidArgument("strict validation failed:\n" +
                                  report.ToString());
@@ -156,18 +143,16 @@ int SummaryGraph::GreedyRunRounds(GreedyOptions::Heap heap) const {
   return slot.run == nullptr ? -1 : slot.run->rounds();
 }
 
-Result<SummaryResult> SummaryGraph::SolveGreedy(GreedyOptions::Heap heap,
-                                                int k,
-                                                const ExecutionBudget& budget,
-                                                GreedyRunUse& use) const {
+Result<SummaryResult> SummaryGraph::SolveGreedy(
+    GreedyOptions::Heap heap, int k, const ExecutionBudget& budget) const {
   Stopwatch watch;
+  obs::DeferredTraceSpan greedy_span(obs::SpanKind::kGreedy);
   RunSlot& slot = SlotFor(heap);
   std::unique_ptr<GreedyRun> run;
   {
     MutexLock lock(slot.mutex);
     while (slot.extending) {
-      use.waited = true;
-      use.active = true;
+      greedy_span.Open();
       slot.extended_cv.Wait(slot.mutex);
     }
     if (slot.run != nullptr && slot.run->Covers(k)) {
@@ -179,6 +164,7 @@ Result<SummaryResult> SummaryGraph::SolveGreedy(GreedyOptions::Heap heap,
     slot.extending = true;
     run = std::move(slot.run);
   }
+  greedy_span.Open();
   // Starting and extending run outside the lock; until the run is back in
   // the slot, other solves of this heap wait on `extending`. The guard
   // hands the run back however this call ends, except when the init or a
@@ -208,17 +194,15 @@ Result<SummaryResult> SummaryGraph::SolveGreedy(GreedyOptions::Heap heap,
   } release(slot, run);
 
   if (run == nullptr) {
-    use.active = true;
     Result<std::unique_ptr<GreedyRun>> started =
         GreedyRun::Start(item_graph.graph, heap, budget);
     OSRS_RETURN_IF_ERROR(started.status());
     run = std::move(started).value();
-    use.started = true;
+    obs::TraceStat(obs::Stat::kGreedyRunStarts, 1);
   }
   const int rounds_before = run->rounds();
   Result<SummaryResult> solved = run->Solve(k, budget);
-  use.rounds = run->rounds() - rounds_before;
-  if (use.rounds > 0) use.active = true;
+  obs::TraceStat(obs::Stat::kGreedyRunRounds, run->rounds() - rounds_before);
   if (solved.ok()) solved->seconds = watch.ElapsedSeconds();
   return solved;
 }
@@ -260,17 +244,13 @@ std::string ItemSummary::ToJson() const {
       "\"stop_reason\":\"%s\",\"budget_spent_ms\":%.3f,"
       "\"solver_seconds\":%.6g,\"retries\":%d,"
       "\"request_id\":%llu,\"trace_id\":\"%016llx\","
-      "\"validation_warnings\":%s,\"stats\":%s,"
-      "\"greedy_run\":{\"started\":%s,\"rounds\":%d,\"waited\":%s,"
-      "\"ms\":%.3f}},",
+      "\"validation_warnings\":%s,\"stats\":%s},",
       degraded ? "true" : "false",
       JsonEscape(SummaryAlgorithmToString(algorithm_used)).c_str(),
       StatusCodeToString(stop_reason), budget_spent_ms, solver_seconds,
       retries, static_cast<unsigned long long>(request_id),
       static_cast<unsigned long long>(trace_id), warnings_json.c_str(),
-      stats.ToJson().c_str(), greedy_run.started ? "true" : "false",
-      greedy_run.rounds, greedy_run.waited ? "true" : "false",
-      greedy_run.ms);
+      stats.ToJson().c_str());
   out += "\"entries\":[";
   for (size_t i = 0; i < entries.size(); ++i) {
     if (i > 0) out += ',';
@@ -365,11 +345,20 @@ Result<ItemSummary> ReviewSummarizer::Summarize(
   OSRS_RETURN_IF_ERROR(budget.Check());
 
   // Everything below (a graph build the source runs, every solver
-  // attempt) records into this call's trace; when collect_stats is off the
-  // currently installed trace — usually none — stays in effect.
-  obs::SolveTrace trace;
-  obs::Tracer::Scope trace_scope(options_.collect_stats ? &trace
-                                                        : obs::Tracer::current());
+  // attempt) records into the trace installed on this thread: under
+  // SummaryServer, the request's. With none installed, collect_stats
+  // records into a local one. `stats` covers what was recorded after
+  // `mark`, so only this call's work.
+  std::optional<obs::RequestTrace> local_trace;
+  obs::RequestTrace* trace = obs::Tracer::current();
+  if (trace == nullptr && options_.collect_stats) {
+    trace = &local_trace.emplace();
+    // Enough for a build, two attempts and their phases without regrowth.
+    trace->ReserveSpans(16);
+  }
+  obs::Tracer::Scope trace_scope(trace);
+  const obs::RequestTrace::Mark mark =
+      trace != nullptr ? trace->mark() : obs::RequestTrace::Mark{};
 
   Result<std::shared_ptr<const SummaryGraph>> source_result = graph_source();
   OSRS_RETURN_IF_ERROR(source_result.status());
@@ -399,7 +388,6 @@ Result<ItemSummary> ReviewSummarizer::Summarize(
                   options_.fallback_chain.end());
 
   SummaryResult result;
-  GreedyRunUse greedy_run;
   SummaryAlgorithm algorithm_used = options_.algorithm;
   bool solved = false;
   bool degraded = false;
@@ -410,21 +398,17 @@ Result<ItemSummary> ReviewSummarizer::Summarize(
     const bool final_fallback = attempt > 0 && attempt + 1 == attempts.size();
     const ExecutionBudget attempt_budget =
         final_fallback ? budget.CancellationOnly() : budget;
-    obs::TraceSpan attempt_span(obs::Phase::kSolveAttempt);
+    obs::TraceSpan attempt_span(obs::SpanKind::kSolveAttempt);
     // Greedy answers from the graph's run, so a greedy fallback after a
     // budget-tripped greedy primary continues that run instead of redoing
     // the heap init.
     const std::optional<GreedyOptions::Heap> heap =
         GreedyHeapOf(attempts[attempt]);
-    GreedyRunUse use;
-    const double begin_ms = total_watch.ElapsedMillis();
     Result<SummaryResult> attempt_result =
         heap.has_value()
-            ? summary_graph->SolveGreedy(*heap, effective_k, attempt_budget,
-                                         use)
+            ? summary_graph->SolveGreedy(*heap, effective_k, attempt_budget)
             : MakeSolver(attempts[attempt], options_.seed + attempt)
                   ->Summarize(item_graph.graph, effective_k, attempt_budget);
-    MergeGreedyRunUse(use, begin_ms, total_watch.ElapsedMillis(), greedy_run);
     if (attempt_result.ok()) {
       result = std::move(*attempt_result);
       algorithm_used = attempts[attempt];
@@ -460,7 +444,6 @@ Result<ItemSummary> ReviewSummarizer::Summarize(
   summary.degraded = degraded;
   summary.algorithm_used = algorithm_used;
   summary.stop_reason = stop_reason;
-  summary.greedy_run = greedy_run;
   summary.num_pairs = item_graph.occurrences.size();
   // Any finding still in the report passed the error gates above, so all
   // that is left to surface are warnings.
@@ -510,7 +493,7 @@ Result<ItemSummary> ReviewSummarizer::Summarize(
   }
   summary.budget_spent_ms = total_watch.ElapsedMillis();
   if (options_.collect_stats) {
-    summary.stats = obs::SolverStats::FromTrace(trace);
+    summary.stats = obs::SolverStats::FromTrace(*trace, mark);
   }
   SummariesCounter()->Increment();
   SolveMsHistogram()->Observe(summary.budget_spent_ms);

@@ -126,10 +126,13 @@ struct ReviewSummarizerOptions {
   /// ItemSummary::validation_warnings. Off by default because a trusted
   /// serving path should not pay the extra corpus walk per request.
   bool strict_validation = false;
-  /// When true (the default) each Summarize call installs a per-solve
-  /// trace (see obs/trace.h) and returns phase timings plus solver
-  /// progress counters on ItemSummary::stats. Costs a handful of clock
-  /// reads per solve; set false to skip even that.
+  /// When true (the default) each Summarize call returns phase timings
+  /// plus solver progress counters on ItemSummary::stats, aggregated from
+  /// what it recorded in the trace installed on its thread (see
+  /// obs/trace.h), or in a local one when none is installed. Costs two
+  /// clock reads per recorded span, plus one small span-list allocation
+  /// per call when no trace is installed; set false to skip both when no
+  /// trace is installed.
   bool collect_stats = true;
   /// Algorithms tried, in order, after the primary `algorithm` trips its
   /// budget (or fails for any reason other than cancellation / invalid
@@ -164,25 +167,6 @@ struct SummaryEntry {
   ConceptSentimentPair pair;
   int review_index = -1;
   int sentence_index = -1;  // -1 at pair/review granularity
-};
-
-/// What one solve did with its graph's greedy runs (see SummaryGraph),
-/// over all of its greedy attempts. A pure slice that did not wait leaves
-/// it all unset.
-struct GreedyRunUse {
-  /// The solve ran a heap init that completed: it started a new run.
-  bool started = false;
-  /// Greedy rounds the solve ran.
-  int rounds = 0;
-  /// The solve waited while another solve started or extended the run.
-  bool waited = false;
-  /// Set when the solve ran a heap init (completed or not) or rounds, or
-  /// waited. start_ms and ms then place that work in the call: start_ms
-  /// is when it began, in ms after the call started (the clock
-  /// budget_spent_ms reads), and ms is how long it lasted.
-  bool active = false;
-  double start_ms = 0.0;
-  double ms = 0.0;
 };
 
 /// A computed summary plus diagnostics.
@@ -223,22 +207,21 @@ struct ItemSummary {
   /// ReviewSummarizerOptions::strict_validation is set.
   std::vector<std::string> validation_warnings;
   /// Per-phase timings and solver progress counters of this solve (empty
-  /// when ReviewSummarizerOptions::collect_stats is false). They count
-  /// only work this call did: a greedy attempt that slices the graph's run
-  /// adds no heap_init or greedy_iterations phase and no counters, and one
-  /// that extends the run adds only its new rounds.
+  /// when ReviewSummarizerOptions::collect_stats is false): the solver-phase
+  /// spans and counters the call recorded in its trace (obs/trace.h),
+  /// aggregated by obs::SolverStats::FromTrace. They count only work this
+  /// call did: a greedy attempt that slices the graph's run adds no
+  /// heap_init or greedy_iterations phase and no counters, and one that
+  /// extends the run adds only its new rounds (greedy_run_rounds; a
+  /// completed heap init counts in greedy_run_starts).
   obs::SolverStats stats;
-  /// What the greedy attempts did with the graph's runs: rendered in the
-  /// diagnostics JSON, and read by SummaryServer for its greedy_runs
-  /// counter and "greedy" span.
-  GreedyRunUse greedy_run;
   /// Transient-failure retries this summary consumed before succeeding.
   /// Always 0 from ReviewSummarizer::Summarize itself — retrying is
   /// BatchSummarizer's job (see BatchSummarizerOptions::retry_policy),
   /// which stamps the count on the entry it returns.
   int retries = 0;
   /// Log-correlation identity of the serving request that produced this
-  /// summary (see obs/request_trace.h). Stamped by SummaryServer; 0 for
+  /// summary (see obs/trace.h). Stamped by SummaryServer; 0 for
   /// summaries computed outside the serving layer.
   uint64_t request_id = 0;
   uint64_t trace_id = 0;
@@ -248,9 +231,10 @@ struct ItemSummary {
   /// Diagnostic fields live only under one "diagnostics" object (degraded,
   /// algorithm, stop_reason, budget_spent_ms, solver_seconds, retries,
   /// request_id, trace_id — the hex log-correlation id —
-  /// validation_warnings, stats, greedy_run {started, rounds, waited,
-  /// ms}); the top level holds the summary itself
-  /// (cost, epsilon, sizes, entries).
+  /// validation_warnings, stats); the top level holds the summary itself
+  /// (cost, epsilon, sizes, entries). What the greedy attempts did with
+  /// the graph's run is in stats (greedy_run_starts, greedy_run_rounds)
+  /// and, under SummaryServer, in the request's span tree.
   std::string ToJson() const;
 };
 
@@ -294,11 +278,13 @@ class SummaryGraph {
   /// stays at its last whole round when a budget, the "osrs.solver.step"
   /// failpoint or cancellation interrupts a round. An exception thrown by
   /// the init or a round, or a budget trip during the init, leaves the
-  /// slot empty, so the next solve starts a new run. Records what it did
-  /// in `use`; `seconds` of the result covers the whole call.
+  /// slot empty, so the next solve starts a new run. On the installed
+  /// trace it records a "greedy" span when it waits on, starts or extends
+  /// the run (none for a pure slice), and counts a completed start in
+  /// greedy_run_starts and the rounds it ran in greedy_run_rounds.
+  /// `seconds` of the result covers the whole call.
   Result<SummaryResult> SolveGreedy(GreedyOptions::Heap heap, int k,
-                                    const ExecutionBudget& budget,
-                                    GreedyRunUse& use) const;
+                                    const ExecutionBudget& budget) const;
 
   /// Rounds recorded by the run for `heap`; -1 while its slot is empty.
   int GreedyRunRounds(GreedyOptions::Heap heap) const;

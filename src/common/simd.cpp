@@ -20,8 +20,6 @@ double GainReduceAvx2(const int32_t* endpoints, const float* distances,
                       const double* target_weights);
 double ApplyPickMinAvx2(const int32_t* endpoints, const float* distances,
                         size_t n, float* best, const double* target_weights);
-size_t EpsWindowMaskAvx2(const double* sentiments, size_t n, double center,
-                         double eps, uint64_t* mask);
 #endif
 }  // namespace internal
 
@@ -98,17 +96,6 @@ double ApplyPickMin(const int32_t* endpoints, const float* distances,
 #endif
   return detail::ApplyPickMinImpl<detail::ScalarOps>(endpoints, distances, n,
                                                      best, target_weights);
-}
-
-size_t EpsWindowMask(const double* sentiments, size_t n, double center,
-                     double eps, uint64_t* mask) {
-#if OSRS_SIMD_ENABLED
-  if (ActiveBackend() == Backend::kAvx2) {
-    return internal::EpsWindowMaskAvx2(sentiments, n, center, eps, mask);
-  }
-#endif
-  return detail::EpsWindowMaskImpl<detail::ScalarOps>(sentiments, n, center,
-                                                      eps, mask);
 }
 
 }  // namespace osrs::simd

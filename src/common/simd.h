@@ -66,14 +66,6 @@ double GainReduce(const int32_t* endpoints, const float* distances,
 double ApplyPickMin(const int32_t* endpoints, const float* distances,
                     size_t n, float* best, const double* target_weights);
 
-/// K3 — sentiment eps-window predicate over a sorted bucket slice: sets
-/// bit i of `mask` iff |sentiments[i] − center| <= eps and returns the
-/// population count. `mask` must hold (n + 63) / 64 words and is fully
-/// overwritten. The predicate costs one IEEE subtraction per element, so
-/// the mask is bit-identical across backends by construction.
-size_t EpsWindowMask(const double* sentiments, size_t n, double center,
-                     double eps, uint64_t* mask);
-
 }  // namespace osrs::simd
 
 #endif  // OSRS_COMMON_SIMD_H_

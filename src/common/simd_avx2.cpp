@@ -74,15 +74,6 @@ struct Avx2Ops {
     __m128d s = _mm_add_pd(t01, t23);               // (t0+t2, t1+t3)
     return _mm_cvtsd_f64(s) + _mm_cvtsd_f64(_mm_unpackhi_pd(s, s));
   }
-
-  static F64 LoadF64(const double* p) { return _mm256_loadu_pd(p); }
-  static F64 BroadcastF64(double x) { return _mm256_set1_pd(x); }
-  static int AbsDiffLeMask4(F64 v, F64 c, F64 e) {
-    const F64 abs_mask =
-        _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
-    F64 diff = _mm256_and_pd(_mm256_sub_pd(v, c), abs_mask);
-    return _mm256_movemask_pd(_mm256_cmp_pd(diff, e, _CMP_LE_OQ));
-  }
 };
 
 }  // namespace
@@ -98,12 +89,6 @@ double ApplyPickMinAvx2(const int32_t* endpoints, const float* distances,
                         size_t n, float* best, const double* target_weights) {
   return detail::ApplyPickMinImpl<Avx2Ops>(endpoints, distances, n, best,
                                            target_weights);
-}
-
-size_t EpsWindowMaskAvx2(const double* sentiments, size_t n, double center,
-                         double eps, uint64_t* mask) {
-  return detail::EpsWindowMaskImpl<Avx2Ops>(sentiments, n, center, eps,
-                                            mask);
 }
 
 }  // namespace osrs::simd::internal

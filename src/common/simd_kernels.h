@@ -1,7 +1,7 @@
 #ifndef OSRS_COMMON_SIMD_KERNELS_H_
 #define OSRS_COMMON_SIMD_KERNELS_H_
 
-// Implementation detail of common/simd.h: the three solver kernels written
+// Implementation detail of common/simd.h: the two solver kernels written
 // once as templates over a lane-ops policy, instantiated twice — with
 // ScalarOps (below) into the always-available fallback, and with the AVX2
 // intrinsic policy (simd_avx2.cpp) into the vector backend. Both
@@ -23,7 +23,6 @@
 //     contribution) and endpoint 0 (a harmless in-bounds gather).
 
 #include <bit>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -116,22 +115,6 @@ struct ScalarOps {
     double t3 = lo.v[3] + hi.v[3];
     return (t0 + t2) + (t1 + t3);
   }
-
-  static F64 LoadF64(const double* p) {
-    F64 r;
-    for (int j = 0; j < 4; ++j) r.v[j] = p[j];
-    return r;
-  }
-  static F64 BroadcastF64(double x) { return F64{{x, x, x, x}}; }
-  /// Bit j set iff |v[j] - c[j]| <= e[j] (one IEEE sub, exact abs, one
-  /// compare — no rounding beyond the subtraction, in either backend).
-  static int AbsDiffLeMask4(F64 v, F64 c, F64 e) {
-    int m = 0;
-    for (int j = 0; j < 4; ++j) {
-      m |= (std::abs(v.v[j] - c.v[j]) <= e.v[j]) ? (1 << j) : 0;
-    }
-    return m;
-  }
 };
 
 /// K1 — marginal-gain reduction over one SoA CSR row. See the contract in
@@ -212,49 +195,6 @@ double ApplyPickMinImpl(const int32_t* endpoints, const float* distances,
     step(ep_pad, d_pad);
   }
   return Ops::ReduceTree(acc_lo, acc_hi);
-}
-
-/// K3 — sentiment eps-window predicate over a sorted bucket slice. Pure
-/// predicate (one subtraction, exact |·|, one compare per element): no
-/// accumulation order to pin, trivially bit-identical across backends.
-template <typename Ops>
-size_t EpsWindowMaskImpl(const double* sentiments, size_t n, double center,
-                         double eps, uint64_t* mask) {
-  typename Ops::F64 c = Ops::BroadcastF64(center);
-  typename Ops::F64 e = Ops::BroadcastF64(eps);
-  size_t count = 0;
-  size_t i = 0;
-  size_t wi = 0;
-  // Full 64-element blocks assemble their word in a register — 16 4-lane
-  // chunks, then one store and one popcount per word (the per-chunk
-  // read-modify-write of the mask was the kernel's bottleneck).
-  for (; i + 64 <= n; i += 64, ++wi) {
-    uint64_t word = 0;
-    for (size_t j = 0; j < 64; j += 4) {
-      int m = Ops::AbsDiffLeMask4(Ops::LoadF64(sentiments + i + j), c, e);
-      word |= static_cast<uint64_t>(static_cast<unsigned>(m)) << j;
-    }
-    mask[wi] = word;
-    count += static_cast<size_t>(std::popcount(word));
-  }
-  // Partial last word: vector chunks while they fit, scalar remainder —
-  // the same exact predicate (one IEEE sub, exact |·|, one compare).
-  if (i < n) {
-    uint64_t word = 0;
-    size_t j = 0;
-    for (; i + j + 4 <= n; j += 4) {
-      int m = Ops::AbsDiffLeMask4(Ops::LoadF64(sentiments + i + j), c, e);
-      word |= static_cast<uint64_t>(static_cast<unsigned>(m)) << j;
-    }
-    for (; i + j < n; ++j) {
-      if (std::abs(sentiments[i + j] - center) <= eps) {
-        word |= uint64_t{1} << j;
-      }
-    }
-    mask[wi] = word;
-    count += static_cast<size_t>(std::popcount(word));
-  }
-  return count;
 }
 
 }  // namespace osrs::simd::detail

@@ -9,7 +9,7 @@
 namespace osrs {
 
 KPairsReduction BuildKPairsReduction(const SetCoverInstance& instance) {
-  obs::TraceSpan build_span(obs::Phase::kReductionBuild);
+  obs::TraceSpan build_span(obs::SpanKind::kReductionBuild);
   OSRS_CHECK_GT(instance.universe_size, 0);
   OSRS_CHECK(!instance.sets.empty());
   OSRS_CHECK_GE(instance.k, 1);

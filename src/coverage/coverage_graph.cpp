@@ -1,7 +1,6 @@
 #include "coverage/coverage_graph.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <thread>
@@ -10,7 +9,6 @@
 
 #include "common/hash.h"
 #include "common/logging.h"
-#include "common/simd.h"
 #include "common/strings.h"
 #include "common/thread_count.h"
 #include "fault/failpoint.h"
@@ -123,13 +121,6 @@ size_t ForEachCoveringPairInRange(const PairDistance& distance,
   // `s ± eps` (a few ulps) while admitting essentially no extra window
   // candidates for the exact predicate to reject.
   const double kWindowSlack = 1e-9;
-  // Windows at least this long go through the vectorized eps predicate
-  // (simd::EpsWindowMask); shorter ones scan scalar. The kernel evaluates
-  // the *same* exact `|ds| <= eps` predicate with the same IEEE ops, so
-  // the emitted edge set is independent of the threshold — it only moves
-  // the crossover where the mask setup pays for itself.
-  constexpr size_t kSimdWindowThreshold = 16;
-  std::vector<uint64_t> window_mask;  // per-shard scratch, reused across w
   size_t emitted = 0;
   for (int w = w_begin; w < w_end; ++w) {
     const ConceptSentimentPair& target = pairs[static_cast<size_t>(w)];
@@ -149,23 +140,6 @@ size_t ForEachCoveringPairInRange(const PairDistance& distance,
         end -= static_cast<size_t>(
             last - std::upper_bound(first, last,
                                     target.sentiment + eps + kWindowSlack));
-        if (end - begin >= kSimdWindowThreshold) {
-          const size_t window = end - begin;
-          window_mask.resize((window + 63) / 64);
-          simd::EpsWindowMask(buckets.sentiments.data() + begin, window,
-                              target.sentiment, eps, window_mask.data());
-          for (size_t word = 0; word < window_mask.size(); ++word) {
-            uint64_t bits = window_mask[word];
-            while (bits != 0) {
-              size_t i = begin + (word << 6) +
-                         static_cast<size_t>(std::countr_zero(bits));
-              emit(buckets.pair_indices[i], w, weight);
-              ++emitted;
-              bits &= bits - 1;
-            }
-          }
-          continue;
-        }
         for (size_t i = begin; i < end; ++i) {
           if (std::abs(buckets.sentiments[i] - target.sentiment) > eps) {
             continue;
@@ -302,7 +276,7 @@ Result<CoverageGraph> CoverageGraph::BuildForPairsImpl(
     const PairDistance& distance,
     const std::vector<ConceptSentimentPair>& pairs,
     const CoverageBuildOptions& options, bool weighted) {
-  obs::TraceSpan build_span(obs::Phase::kBuildCoverageGraph);
+  obs::TraceSpan build_span(obs::SpanKind::kBuildCoverageGraph);
   const ConceptBuckets buckets = BucketByConcept(distance.ontology(), pairs);
   const int num_targets = static_cast<int>(pairs.size());
   const int num_candidates = num_targets;
@@ -461,7 +435,7 @@ Result<CoverageGraph> CoverageGraph::BuildForGroupsImpl(
     const std::vector<ConceptSentimentPair>& pairs,
     const std::vector<std::vector<int>>& groups,
     const CoverageBuildOptions& options) {
-  obs::TraceSpan build_span(obs::Phase::kBuildCoverageGraph);
+  obs::TraceSpan build_span(obs::SpanKind::kBuildCoverageGraph);
   // Map each pair index to its owning group (a pair belongs to exactly one
   // sentence / review).
   std::vector<int> group_of(pairs.size(), -1);

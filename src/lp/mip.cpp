@@ -156,7 +156,7 @@ MipSolution MipSolver::Solve(LpProblem problem,
     state.lp_budget = &lp_budget;
   }
   {
-    obs::TraceSpan bnb_span(obs::Phase::kBranchAndBound);
+    obs::TraceSpan bnb_span(obs::SpanKind::kBranchAndBound);
     Dfs(state);
   }
   obs::TraceStat(obs::Stat::kBnbNodes, solution.nodes);

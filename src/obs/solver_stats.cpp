@@ -18,19 +18,29 @@ double SolverStats::phase_millis(std::string_view name) const {
   return 0.0;
 }
 
-SolverStats SolverStats::FromTrace(const SolveTrace& trace) {
+SolverStats SolverStats::FromTrace(const RequestTrace& trace,
+                                   const RequestTrace::Mark& since) {
+  int64_t nanos[kNumSolverPhases] = {};
+  int64_t calls[kNumSolverPhases] = {};
+  const std::vector<Span>& spans = trace.spans();
+  for (size_t i = since.spans; i < spans.size(); ++i) {
+    if (!IsSolverPhase(spans[i].kind) || spans[i].duration_ns < 0) continue;
+    const size_t p = static_cast<size_t>(spans[i].kind);
+    nanos[p] += spans[i].duration_ns;
+    calls[p] += 1;
+  }
   SolverStats stats;
-  for (int p = 0; p < kNumPhases; ++p) {
-    Phase phase = static_cast<Phase>(p);
-    if (trace.phase_calls(phase) == 0) continue;
-    stats.phases.push_back({PhaseName(phase),
-                            static_cast<double>(trace.phase_nanos(phase)) * 1e-6,
-                            trace.phase_calls(phase)});
+  for (int p = 0; p < kNumSolverPhases; ++p) {
+    if (calls[p] == 0) continue;
+    stats.phases.push_back({SpanKindName(static_cast<SpanKind>(p)),
+                            static_cast<double>(nanos[p]) * 1e-6, calls[p]});
   }
   for (int s = 0; s < kNumStats; ++s) {
-    Stat stat = static_cast<Stat>(s);
-    if (trace.stat(stat) == 0) continue;
-    stats.counters.push_back({StatName(stat), trace.stat(stat)});
+    const Stat stat = static_cast<Stat>(s);
+    const int64_t value =
+        trace.stat(stat) - since.stats[static_cast<size_t>(s)];
+    if (value == 0) continue;
+    stats.counters.push_back({StatName(stat), value});
   }
   return stats;
 }

@@ -1,10 +1,11 @@
 #ifndef OSRS_OBS_SOLVER_STATS_H_
 #define OSRS_OBS_SOLVER_STATS_H_
 
-// Rendering-friendly view of a SolveTrace: named per-phase timings and
-// counters, carried on ItemSummary and aggregated by BatchSummarizer.
-// Unlike SolveTrace (fixed arrays, hot path), SolverStats is plain data
-// with stable string names, safe to copy, merge, and serialize.
+// The wire form of a solve's trace: named per-phase timings and counters,
+// carried on ItemSummary and aggregated by BatchSummarizer. It is a view
+// computed from a RequestTrace (the solver-phase spans summed by kind,
+// plus the nonzero counters), plain data with stable string names, safe
+// to copy, merge, and serialize.
 
 #include <cstdint>
 #include <string>
@@ -16,7 +17,7 @@ namespace osrs::obs {
 
 /// One instrumented phase: total time and how often it ran.
 struct PhaseStat {
-  std::string name;  // PhaseName(), e.g. "greedy_iterations"
+  std::string name;  // SpanKindName(), e.g. "greedy_iterations"
   double millis = 0.0;
   int64_t calls = 0;
 };
@@ -41,8 +42,11 @@ struct SolverStats {
   /// Total milliseconds recorded under the named phase, or 0 when absent.
   double phase_millis(std::string_view name) const;
 
-  /// Extracts the non-empty phases/counters of a trace.
-  static SolverStats FromTrace(const SolveTrace& trace);
+  /// What `trace` recorded after `since`: each solver-phase kind (see
+  /// IsSolverPhase) with its closed spans' summed time and count, in enum
+  /// order, and each counter's nonzero growth.
+  static SolverStats FromTrace(const RequestTrace& trace,
+                               const RequestTrace::Mark& since = {});
 
   /// Accumulates `other` into this, matching phases/counters by name
   /// (unknown names are appended) — the batch aggregation primitive.

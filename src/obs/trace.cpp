@@ -1,31 +1,59 @@
 #include "obs/trace.h"
 
-#include <cstring>
+#include <utility>
+
+#include "common/hash.h"
+#include "common/logging.h"
+#include "common/strings.h"
 
 namespace osrs::obs {
 
-const char* PhaseName(Phase phase) {
-  switch (phase) {
-    case Phase::kBuildCoverageGraph:
+uint64_t DeriveTraceId(uint64_t request_id) {
+  return Mix64(request_id + kSplitMix64Gamma);
+}
+
+const char* SpanKindName(SpanKind kind) {
+  switch (kind) {
+    case SpanKind::kBuildCoverageGraph:
       return "build_coverage_graph";
-    case Phase::kHeapInit:
+    case SpanKind::kHeapInit:
       return "heap_init";
-    case Phase::kGreedyIterations:
+    case SpanKind::kGreedyIterations:
       return "greedy_iterations";
-    case Phase::kLpRelaxation:
+    case SpanKind::kLpRelaxation:
       return "lp_relaxation";
-    case Phase::kRoundingTrials:
+    case SpanKind::kRoundingTrials:
       return "rounding_trials";
-    case Phase::kBranchAndBound:
+    case SpanKind::kBranchAndBound:
       return "branch_and_bound";
-    case Phase::kLocalSearchPasses:
+    case SpanKind::kLocalSearchPasses:
       return "local_search_passes";
-    case Phase::kExhaustiveEnumeration:
+    case SpanKind::kExhaustiveEnumeration:
       return "exhaustive_enumeration";
-    case Phase::kReductionBuild:
+    case SpanKind::kReductionBuild:
       return "reduction_build";
-    case Phase::kSolveAttempt:
+    case SpanKind::kSolveAttempt:
       return "solve_attempt";
+    case SpanKind::kServe:
+      return "serve";
+    case SpanKind::kCacheProbe:
+      return "cache_probe";
+    case SpanKind::kAdmission:
+      return "admission";
+    case SpanKind::kQueueWait:
+      return "queue_wait";
+    case SpanKind::kShedDecision:
+      return "shed_decision";
+    case SpanKind::kSolve:
+      return "solve";
+    case SpanKind::kGraphBuild:
+      return "graph_build";
+    case SpanKind::kGreedy:
+      return "greedy";
+    case SpanKind::kStaleFallback:
+      return "stale_fallback";
+    case SpanKind::kCoalescedWait:
+      return "coalesced_wait";
   }
   return "unknown";
 }
@@ -54,30 +82,100 @@ const char* StatName(Stat stat) {
       return "subsets_evaluated";
     case Stat::kGraphEdgesBuilt:
       return "graph_edges_built";
+    case Stat::kGreedyRunStarts:
+      return "greedy_run_starts";
+    case Stat::kGreedyRunRounds:
+      return "greedy_run_rounds";
   }
   return "unknown";
 }
 
-bool SolveTrace::empty() const {
-  for (int p = 0; p < kNumPhases; ++p) {
-    if (phase_calls_[p] != 0) return false;
-  }
-  for (int s = 0; s < kNumStats; ++s) {
-    if (stats_[s] != 0) return false;
+size_t RequestTrace::BeginSpan(SpanKind kind, int64_t start_ns) {
+  Span span;
+  span.kind = kind;
+  span.depth = open_depth_;
+  span.start_ns = start_ns >= 0 ? start_ns : watch_.ElapsedNanos();
+  ++open_depth_;
+  spans_.push_back(span);
+  return spans_.size() - 1;
+}
+
+void RequestTrace::EndSpan(size_t index) {
+  OSRS_CHECK(index < spans_.size());
+  OSRS_CHECK(spans_[index].duration_ns < 0);
+  spans_[index].duration_ns = watch_.ElapsedNanos() - spans_[index].start_ns;
+  --open_depth_;
+}
+
+void RequestTrace::AddSpan(SpanKind kind, int64_t start_ns,
+                           int64_t duration_ns) {
+  Span span;
+  span.kind = kind;
+  span.depth =
+      open_depth_ > 0 ? open_depth_ : (spans_.empty() ? 0 : 1);
+  span.start_ns = start_ns;
+  span.duration_ns = duration_ns < 0 ? 0 : duration_ns;
+  spans_.push_back(span);
+}
+
+bool RequestTrace::balanced() const {
+  if (open_depth_ != 0) return false;
+  for (const Span& span : spans_) {
+    if (span.duration_ns < 0) return false;
   }
   return true;
 }
 
-void SolveTrace::Reset() { *this = SolveTrace(); }
+bool RequestTrace::HasSpan(SpanKind kind) const {
+  for (const Span& span : spans_) {
+    if (span.kind == kind) return true;
+  }
+  return false;
+}
 
-void SolveTrace::MergeFrom(const SolveTrace& other) {
-  for (int p = 0; p < kNumPhases; ++p) {
-    phase_nanos_[p] += other.phase_nanos_[p];
-    phase_calls_[p] += other.phase_calls_[p];
+int64_t RequestTrace::SpanDurationNs(SpanKind kind) const {
+  int64_t total = 0;
+  for (const Span& span : spans_) {
+    if (span.kind == kind && span.duration_ns >= 0) {
+      total += span.duration_ns;
+    }
   }
-  for (int s = 0; s < kNumStats; ++s) {
-    stats_[s] += other.stats_[s];
+  return total;
+}
+
+std::string RequestTrace::ToJson() const {
+  std::string out = StrFormat(
+      "{\"trace_id\":\"%016llx\",\"request_id\":%llu,\"spans\":[",
+      static_cast<unsigned long long>(context.trace_id),
+      static_cast<unsigned long long>(context.request_id));
+  for (size_t i = 0; i < spans_.size(); ++i) {
+    if (i > 0) out += ',';
+    out += StrFormat(
+        "{\"kind\":\"%s\",\"depth\":%d,\"start_ns\":%lld,"
+        "\"duration_ns\":%lld}",
+        SpanKindName(spans_[i].kind), spans_[i].depth,
+        static_cast<long long>(spans_[i].start_ns),
+        static_cast<long long>(spans_[i].duration_ns));
   }
+  out += "]}";
+  return out;
+}
+
+void TraceRing::Push(RequestTrace trace) {
+  if (capacity_ == 0) return;
+  MutexLock lock(mutex_);
+  while (traces_.size() >= capacity_) traces_.pop_front();
+  traces_.push_back(std::move(trace));
+}
+
+std::vector<RequestTrace> TraceRing::Snapshot() const {
+  MutexLock lock(mutex_);
+  return std::vector<RequestTrace>(traces_.begin(), traces_.end());
+}
+
+size_t TraceRing::size() const {
+  MutexLock lock(mutex_);
+  return traces_.size();
 }
 
 }  // namespace osrs::obs

@@ -25,11 +25,15 @@ obs::Gauge* InflightGauge() {
   return gauge;
 }
 
-obs::Counter* ServeCounter(const char* name) {
-  // One interned handle per name; the registry returns stable pointers so
-  // the static map here costs a lookup only on first use per call site.
-  return obs::MetricsRegistry::Global().GetCounter(name);
-}
+/// The osrs.serve.<name> counter, interned in a function-local static per
+/// call site: the registry's mutex and map lookup are paid on first use,
+/// never per event.
+#define OSRS_SERVE_COUNTER(name)                                       \
+  ([]() -> obs::Counter* {                                             \
+    static obs::Counter* const counter =                               \
+        obs::MetricsRegistry::Global().GetCounter("osrs.serve." name); \
+    return counter;                                                    \
+  }())
 
 obs::Histogram* QueueMsHistogram() {
   static obs::Histogram* histogram =
@@ -282,7 +286,7 @@ void SummaryServer::JournalMutation(const Item* item, uint64_t epoch_after) {
     OSRS_LOG(slog::Level::kWarn, "serve", "journal append failed",
              {"code", StatusCodeToString(status.code())},
              {"detail", status.message()});
-    ServeCounter("osrs.serve.journal_errors")->Increment();
+    OSRS_SERVE_COUNTER("journal_errors")->Increment();
   }
   // Compaction both bounds replay time (size threshold) and self-heals a
   // poisoned journal: the fresh snapshot carries the full in-memory state,
@@ -293,9 +297,9 @@ void SummaryServer::JournalMutation(const Item* item, uint64_t epoch_after) {
       OSRS_LOG(slog::Level::kWarn, "serve", "journal compaction failed",
                {"code", StatusCodeToString(compacted.code())},
                {"detail", compacted.message()});
-      ServeCounter("osrs.serve.journal_errors")->Increment();
+      OSRS_SERVE_COUNTER("journal_errors")->Increment();
     } else {
-      ServeCounter("osrs.serve.compactions")->Increment();
+      OSRS_SERVE_COUNTER("compactions")->Increment();
     }
   }
 }
@@ -339,7 +343,7 @@ Status SummaryServer::ForceSnapshot() {
   }
   MutexLock mutation_lock(mutation_mutex_);
   OSRS_RETURN_IF_ERROR(store_->Compact(CaptureState()));
-  ServeCounter("osrs.serve.compactions")->Increment();
+  OSRS_SERVE_COUNTER("compactions")->Increment();
   return Status::OK();
 }
 
@@ -376,7 +380,7 @@ ServeResponse SummaryServer::ServeImpl(const ServeRequest& request) {
   trace.context.request_id =
       next_request_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   trace.context.trace_id = obs::DeriveTraceId(trace.context.request_id);
-  const size_t root_span = trace.BeginSpan(obs::RequestSpanKind::kServe);
+  const size_t root_span = trace.BeginSpan(obs::SpanKind::kServe);
 
   {
     MutexLock lock(counters_mutex_);
@@ -397,7 +401,7 @@ ServeResponse SummaryServer::ServeImpl(const ServeRequest& request) {
       MutexLock lock(counters_mutex_);
       ++counters_.rejected;
     }
-    ServeCounter("osrs.serve.rejected")->Increment();
+    OSRS_SERVE_COUNTER("rejected")->Increment();
     OSRS_LOG_T(slog::Level::kInfo, "serve", trace.context.trace_id,
                "request rejected",
                {"request_id", trace.context.request_id},
@@ -455,7 +459,7 @@ ServeResponse SummaryServer::ServeImpl(const ServeRequest& request) {
   // Exact cache read. A cache failpoint injection means the cache is
   // unavailable, never that the request fails: degrade to a miss.
   if (!request.bypass_cache) {
-    size_t probe_span = trace.BeginSpan(obs::RequestSpanKind::kCacheProbe);
+    size_t probe_span = trace.BeginSpan(obs::SpanKind::kCacheProbe);
     Status cache_status = OSRS_FAILPOINT("osrs.serve.cache");
     ItemSummary cached;
     bool hit = cache_status.ok() && cache_.Lookup(key, &cached);
@@ -467,7 +471,7 @@ ServeResponse SummaryServer::ServeImpl(const ServeRequest& request) {
         ++counters_.completed;
         ++counters_.cache_hits;
       }
-      ServeCounter("osrs.serve.cache_hit")->Increment();
+      OSRS_SERVE_COUNTER("cache_hit")->Increment();
       ServeResponse response;
       response.status = Status::OK();
       response.summary = std::move(cached);
@@ -476,7 +480,7 @@ ServeResponse SummaryServer::ServeImpl(const ServeRequest& request) {
       finalize(&response);
       return response;
     }
-    ServeCounter("osrs.serve.cache_miss")->Increment();
+    OSRS_SERVE_COUNTER("cache_miss")->Increment();
   }
 
   std::shared_ptr<Flight> flight;
@@ -487,7 +491,7 @@ ServeResponse SummaryServer::ServeImpl(const ServeRequest& request) {
                 static_cast<unsigned long long>(epoch_now),
                 static_cast<unsigned long long>(options_fingerprint_),
                 request.k);
-  size_t admission_span = trace.BeginSpan(obs::RequestSpanKind::kAdmission);
+  size_t admission_span = trace.BeginSpan(obs::SpanKind::kAdmission);
   {
     ReleasableMutexLock lock(mutex_);
     if (stopping_ || draining_) {
@@ -511,7 +515,7 @@ ServeResponse SummaryServer::ServeImpl(const ServeRequest& request) {
         ++counters_.admitted;
         ++counters_.coalesced;
       }
-      ServeCounter("osrs.serve.coalesced")->Increment();
+      OSRS_SERVE_COUNTER("coalesced")->Increment();
     } else {
       // Admission control. Queue depth first (absolute backstop), then the
       // wait estimate once enough solve costs have been observed.
@@ -560,7 +564,7 @@ ServeResponse SummaryServer::ServeImpl(const ServeRequest& request) {
         MutexLock counters_lock(counters_mutex_);
         ++counters_.admitted;
       }
-      ServeCounter("osrs.serve.admitted")->Increment();
+      OSRS_SERVE_COUNTER("admitted")->Increment();
       work_cv_.NotifyOne();
     }
   }
@@ -585,7 +589,7 @@ ServeResponse SummaryServer::ServeImpl(const ServeRequest& request) {
     // copied trace carries the leader's clock base.
     int64_t wake_ns = response.trace.ElapsedNanos();
     response.trace.context = trace.context;
-    response.trace.AddSpan(obs::RequestSpanKind::kCoalescedWait, attach_ns,
+    response.trace.AddSpan(obs::SpanKind::kCoalescedWait, attach_ns,
                            wake_ns - attach_ns);
     response.request_id = trace.context.request_id;
     response.trace_id = trace.context.trace_id;
@@ -638,7 +642,7 @@ void SummaryServer::WatchdogLoop() {
         MutexLock lock(counters_mutex_);
         ++counters_.watchdog_stalls;
       }
-      ServeCounter("osrs.serve.watchdog_stalls")->Increment();
+      OSRS_SERVE_COUNTER("watchdog_stalls")->Increment();
       OSRS_LOG(slog::Level::kWarn, "serve", "watchdog cancelled stalled solve",
                {"worker", static_cast<uint64_t>(w)},
                {"stalled_ms", static_cast<double>(now_ns - start_ns) * 1e-6},
@@ -655,7 +659,7 @@ void SummaryServer::ProcessFlight(const std::shared_ptr<Flight>& flight,
   // already-closed span backdated to the enqueue instant.
   int64_t queue_ns = static_cast<int64_t>(queue_ms * 1e6);
   int64_t dequeue_ns = flight->trace.ElapsedNanos();
-  flight->trace.AddSpan(obs::RequestSpanKind::kQueueWait,
+  flight->trace.AddSpan(obs::SpanKind::kQueueWait,
                         std::max<int64_t>(dequeue_ns - queue_ns, 0),
                         queue_ns);
 
@@ -664,16 +668,16 @@ void SummaryServer::ProcessFlight(const std::shared_ptr<Flight>& flight,
   response.epoch = flight->cache_key.epoch;
 
   // Deadline-aware shedding: when what is left of the request's budget
-  // cannot plausibly fund a solve (observed p50 x safety factor), starting
-  // one only burns a worker that admitted requests behind it need. Prefer
-  // a stale cached answer; shed outright otherwise.
+  // cannot plausibly fund a solve (below the observed p50 solve cost),
+  // starting one only burns a worker that admitted requests behind it
+  // need. Prefer a stale cached answer; shed outright otherwise.
   size_t shed_span =
-      flight->trace.BeginSpan(obs::RequestSpanKind::kShedDecision);
+      flight->trace.BeginSpan(obs::SpanKind::kShedDecision);
   double remaining_ms = flight->budget.RemainingMs();
   double p50 = p50_solve_ms();
   bool over_budget =
       remaining_ms <= 0.0 ||
-      (p50 > 0.0 && remaining_ms < p50 * options_.shed_safety_factor);
+      (p50 > 0.0 && remaining_ms < p50);
   flight->trace.EndSpan(shed_span);
   if (over_budget) {
     if (!TryServeStale(*flight, &response)) {
@@ -721,7 +725,7 @@ void SummaryServer::ProcessFlight(const std::shared_ptr<Flight>& flight,
   worker_state.solve_start_ns.store(watchdog_clock_.ElapsedNanos(),
                                     std::memory_order_release);
   Stopwatch solve_watch;
-  size_t solve_span = flight->trace.BeginSpan(obs::RequestSpanKind::kSolve);
+  size_t solve_span = flight->trace.BeginSpan(obs::SpanKind::kSolve);
   Result<ItemSummary> solved =
       GuardedSolve(*version, flight->cache_key.k, budget, &flight->trace);
   flight->trace.EndSpan(solve_span);
@@ -733,15 +737,10 @@ void SummaryServer::ProcessFlight(const std::shared_ptr<Flight>& flight,
     MutexLock lock(counters_mutex_);
     ++counters_.solves;
   }
-  ServeCounter("osrs.serve.solves")->Increment();
+  OSRS_SERVE_COUNTER("solves")->Increment();
 
   if (solved.ok()) {
     ObserveSolveCost(solve_ms);
-    // The per-phase solver breakdown (collect_stats on) rides the request
-    // trace, so a slow solve is attributable below the kSolve span.
-    if (!solved->stats.empty()) {
-      flight->trace.AttachSolverStats(solved->stats);
-    }
     if (solved->degraded) {
       OSRS_LOG_T(slog::Level::kWarn, "serve",
                  flight->trace.context.trace_id, "solve degraded",
@@ -786,8 +785,7 @@ void SummaryServer::ProcessFlight(const std::shared_ptr<Flight>& flight,
 
 bool SummaryServer::TryServeStale(Flight& flight, ServeResponse* response) {
   if (!options_.serve_stale_when_over_budget) return false;
-  obs::RequestSpanScope scope(&flight.trace,
-                              obs::RequestSpanKind::kStaleFallback);
+  obs::TraceSpan span(&flight.trace, obs::SpanKind::kStaleFallback);
   ItemSummary stale;
   uint64_t stale_epoch = 0;
   if (!cache_.LookupLatest(flight.cache_key.item_id,
@@ -812,56 +810,44 @@ Result<ItemSummary> SummaryServer::GuardedSolve(ItemVersion& version, int k,
                                                 const ExecutionBudget& budget,
                                                 obs::RequestTrace* trace) {
   OSRS_RETURN_IF_ERROR(OSRS_FAILPOINT("osrs.serve.solve"));
+  // The solve records into the request's own trace: the graph build, the
+  // greedy run and every solver phase nest under its kSolve span.
+  obs::Tracer::Scope trace_scope(trace);
+  const int64_t runs_before = trace->stat(obs::Stat::kGreedyRunStarts);
   // The process must outlive any single request, so nothing a solve
   // throws leaves this flight.
   Result<ItemSummary> solved =
       CatchAll("solve", [&]() -> Result<ItemSummary> {
         ReviewSummarizer summarizer(ontology_, options_.summarizer);
         return summarizer.Summarize(version.item, k, budget, [&] {
-          return AcquireGraph(version, summarizer, k, trace);
+          return AcquireGraph(version, summarizer, k);
         });
       });
-  if (solved.ok() && solved->greedy_run.active) {
-    // The facade places the greedy work on the clock budget_spent_ms
-    // reads, which stopped as the call returned.
-    const GreedyRunUse& use = solved->greedy_run;
-    const int64_t end_ns = trace->ElapsedNanos();
-    trace->AddSpan(
-        obs::RequestSpanKind::kGreedy,
-        end_ns - static_cast<int64_t>(
-                     (solved->budget_spent_ms - use.start_ms) * 1e6),
-        static_cast<int64_t>(use.ms * 1e6));
-    if (use.started) {
-      MutexLock lock(counters_mutex_);
-      ++counters_.greedy_runs;
-    }
+  const int64_t runs_started =
+      trace->stat(obs::Stat::kGreedyRunStarts) - runs_before;
+  if (solved.ok() && runs_started > 0) {
+    MutexLock lock(counters_mutex_);
+    counters_.greedy_runs += runs_started;
   }
   return solved;
 }
 
 Result<std::shared_ptr<const SummaryGraph>> SummaryServer::AcquireGraph(
-    ItemVersion& version, const ReviewSummarizer& summarizer, int k,
-    obs::RequestTrace* trace) {
-  const int64_t start_ns = trace->ElapsedNanos();
+    ItemVersion& version, const ReviewSummarizer& summarizer, int k) {
+  obs::DeferredTraceSpan build_span(obs::SpanKind::kGraphBuild);
   // Under auto_epsilon the elbow picks ε for this k, so the graph serves
   // only the solve that built it and never enters the slot.
   const bool shared = !options_.summarizer.auto_epsilon;
   if (shared) {
     MutexLock lock(version.mutex);
-    bool waited = false;
     while (version.graph == nullptr && version.building) {
-      waited = true;
+      build_span.Open();
       version.built_cv.Wait(version.mutex);
     }
-    if (version.graph != nullptr) {
-      if (waited) {
-        trace->AddSpan(obs::RequestSpanKind::kGraphBuild, start_ns,
-                       trace->ElapsedNanos() - start_ns);
-      }
-      return version.graph;
-    }
+    if (version.graph != nullptr) return version.graph;
     version.building = true;
   }
+  build_span.Open();
   // Built outside the slot lock; CatchAll keeps a throwing build from
   // leaving the slot marked as building forever.
   Result<std::shared_ptr<const SummaryGraph>> built = CatchAll(
@@ -881,8 +867,6 @@ Result<std::shared_ptr<const SummaryGraph>> SummaryServer::AcquireGraph(
     MutexLock lock(counters_mutex_);
     ++counters_.graph_builds;
   }
-  trace->AddSpan(obs::RequestSpanKind::kGraphBuild, start_ns,
-                 trace->ElapsedNanos() - start_ns);
   return built;
 }
 
@@ -917,16 +901,16 @@ void SummaryServer::CompleteFlight(const std::shared_ptr<Flight>& flight,
   }
   switch (response.outcome) {
     case ServeOutcome::kShed:
-      ServeCounter("osrs.serve.shed")->Add(requests);
+      OSRS_SERVE_COUNTER("shed")->Add(requests);
       break;
     case ServeOutcome::kFailed:
-      ServeCounter("osrs.serve.failed")->Add(requests);
+      OSRS_SERVE_COUNTER("failed")->Add(requests);
       break;
     default:
-      ServeCounter("osrs.serve.completed")->Add(requests);
+      OSRS_SERVE_COUNTER("completed")->Add(requests);
       break;
   }
-  if (response.degraded) ServeCounter("osrs.serve.degraded")->Add(requests);
+  if (response.degraded) OSRS_SERVE_COUNTER("degraded")->Add(requests);
   // Close the root span and move the finished trace onto the response:
   // the leader reads it back as its own; followers copy it and restamp.
   flight->trace.EndSpan(flight->root_span);

@@ -49,7 +49,7 @@
 #include "common/sync.h"
 #include "core/model.h"
 #include "obs/metrics.h"
-#include "obs/request_trace.h"
+#include "obs/trace.h"
 #include "ontology/ontology.h"
 #include "serve/summary_cache.h"
 #include "store/state_store.h"
@@ -78,8 +78,6 @@ struct ServeOptions {
   /// answered with the latest cached summary for its item (any epoch),
   /// flagged degraded, instead of being shed/failed.
   bool serve_stale_when_over_budget = true;
-  /// Load shedding triggers when remaining budget < p50 x this factor.
-  double shed_safety_factor = 1.0;
   /// Solve-cost observations required before the p50 estimate gates
   /// admission and shedding (cold-start protection: with fewer samples
   /// only queue depth and already-expired deadlines shed).
@@ -316,20 +314,21 @@ class SummaryServer {
                       ServeResponse response)
       OSRS_EXCLUDES(mutex_, counters_mutex_);
   void ObserveSolveCost(double ms) OSRS_EXCLUDES(cost_mutex_);
-  /// One solve of `version` through the facade, exceptions caught. From
-  /// the summary's GreedyRunUse it records a kGreedy span on `trace` and
-  /// counts greedy_runs (only a successful solve reports them).
+  /// One solve of `version` through the facade, exceptions caught, with
+  /// `trace` installed on this thread: the solve's spans and counters
+  /// record into it. Counts the greedy runs a successful solve started
+  /// (its greedy_run_starts) in greedy_runs.
   Result<ItemSummary> GuardedSolve(ItemVersion& version, int k,
                                    const ExecutionBudget& budget,
                                    obs::RequestTrace* trace)
       OSRS_EXCLUDES(counters_mutex_);
   /// The graph source of one solve: the version's shared graph, built by
   /// this call when no earlier solve has built it, waited for when another
-  /// solve is building it. Records a kGraphBuild span on `trace` unless
-  /// the graph was already there.
+  /// solve is building it. Records a kGraphBuild span on the installed
+  /// trace unless the graph was already there.
   Result<std::shared_ptr<const SummaryGraph>> AcquireGraph(
-      ItemVersion& version, const ReviewSummarizer& summarizer, int k,
-      obs::RequestTrace* trace) OSRS_EXCLUDES(counters_mutex_);
+      ItemVersion& version, const ReviewSummarizer& summarizer, int k)
+      OSRS_EXCLUDES(counters_mutex_);
   /// Stale-cache fallback; returns true and fills `response` when a
   /// degraded answer exists and policy allows serving it. Records a
   /// kStaleFallback span on the flight's trace either way.

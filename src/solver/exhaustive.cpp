@@ -59,7 +59,7 @@ Result<SummaryResult> ExhaustiveSummarizer::Summarize(
   int64_t evaluated = k == 0 ? 0 : 1;
 
   // Lexicographic enumeration of k-combinations of [0, n).
-  obs::TraceSpan enum_span(obs::Phase::kExhaustiveEnumeration);
+  obs::TraceSpan enum_span(obs::SpanKind::kExhaustiveEnumeration);
   constexpr int64_t kBudgetCheckPeriod = 1024;
   while (k > 0) {
     if (evaluated % kBudgetCheckPeriod == 0) {

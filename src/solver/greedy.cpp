@@ -121,7 +121,7 @@ Status ScanInitialGains(const CoverageGraph& graph, const float* best,
   EvalCounter evals;
   Status status = Status::OK();
   {
-    obs::TraceSpan init_span(obs::Phase::kHeapInit);
+    obs::TraceSpan init_span(obs::SpanKind::kHeapInit);
     for (int u = 0; u < graph.num_candidates(); ++u) {
       if (u % kInitCheckPeriod == 0) {
         status = budget.Check();
@@ -322,7 +322,7 @@ Result<StatusCode> GreedyRun::ExtendTo(int k, const ExecutionBudget& budget) {
   Status error = Status::OK();
   StatusCode stop = StatusCode::kOk;
   {
-    obs::TraceSpan select_span(obs::Phase::kGreedyIterations);
+    obs::TraceSpan select_span(obs::SpanKind::kGreedyIterations);
     while (!Covers(k)) {
       // Injected failures abort the solve with the injected Status — the
       // facade's fallback chain then decides what (if anything) runs next.

@@ -108,7 +108,7 @@ Result<SummaryResult> LocalSearchSummarizer::Summarize(
     if (!budget_status.ok()) break;
     // One span per pass, so the trace's call count equals the number of
     // polish passes actually run.
-    obs::TraceSpan pass_span(obs::Phase::kLocalSearchPasses);
+    obs::TraceSpan pass_span(obs::SpanKind::kLocalSearchPasses);
     state.Rebuild(graph, selected);
     double best_delta = -options_.min_improvement;
     size_t best_out_pos = 0;

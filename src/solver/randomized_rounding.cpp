@@ -39,7 +39,7 @@ Result<SummaryResult> RandomizedRoundingSummarizer::Summarize(
   RevisedSimplex simplex(options_.lp);
   LpSolution lp;
   {
-    obs::TraceSpan lp_span(obs::Phase::kLpRelaxation);
+    obs::TraceSpan lp_span(obs::SpanKind::kLpRelaxation);
     lp = simplex.Solve(model.problem,
                        budget.IsUnlimited() ? nullptr : &budget);
   }
@@ -77,7 +77,7 @@ Result<SummaryResult> RandomizedRoundingSummarizer::Summarize(
   std::span<float> cost_scratch = arena.AllocateArray<float>(
       static_cast<size_t>(graph.num_targets()));
 
-  obs::TraceSpan rounding_span(obs::Phase::kRoundingTrials);
+  obs::TraceSpan rounding_span(obs::SpanKind::kRoundingTrials);
   if (options_.strategy == RoundingStrategy::kTopK) {
     // Deterministic rounding: open the k largest fractional facilities.
     std::span<int32_t> order = arena.AllocateArray<int32_t>(num_facilities);

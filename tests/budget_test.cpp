@@ -400,8 +400,9 @@ void ExpectUnbudgetedGreedyWithOneInit(const Ontology& onto, const Item& item,
   EXPECT_EQ(CounterValue(summary.stats, "candidates_considered"),
             static_cast<int64_t>(summary.num_candidates))
       << "the fallback must continue the primary's run, not redo its init";
-  EXPECT_TRUE(summary.greedy_run.started);
-  EXPECT_EQ(summary.greedy_run.rounds, k) << "every round runs once";
+  EXPECT_EQ(CounterValue(summary.stats, "greedy_run_starts"), 1);
+  EXPECT_EQ(CounterValue(summary.stats, "greedy_run_rounds"), k)
+      << "every round runs once";
 }
 
 TEST(FacadeFallbackTest, GreedyFallbackContinuesWorkTrippedPrimaryRun) {
@@ -470,7 +471,8 @@ TEST(FacadeFallbackTest, ThrowInARoundEmptiesTheRunSlot) {
   auto next = summarizer.Summarize(item, 5, ExecutionBudget(), source);
   ASSERT_TRUE(next.ok()) << next.status().ToString();
   EXPECT_FALSE(next->degraded);
-  EXPECT_TRUE(next->greedy_run.started) << "a fresh run replaces the lost one";
+  EXPECT_EQ(CounterValue(next->stats, "greedy_run_starts"), 1)
+      << "a fresh run replaces the lost one";
   EXPECT_EQ(shared->GreedyRunRounds(GreedyOptions::Heap::kEager), 5);
   ExpectUnbudgetedGreedyWithOneInit(onto, item, 5, *next);
   // The other heap's slot was never touched.
@@ -638,13 +640,11 @@ TEST(ItemSummaryJsonTest, EscapesDisplayAndRendersDiagnostics) {
                       "\"stop_reason\":\"DeadlineExceeded\""),
             std::string::npos)
       << json;
-  EXPECT_NE(json.find("\"greedy_run\":{\"started\":false,\"rounds\":0,"
-                      "\"waited\":false,\"ms\":0.000}"),
+  EXPECT_NE(json.find("\"stats\":{\"phases\":{},\"counters\":{}}}"),
             std::string::npos)
       << json;
-  summary.greedy_run.started = true;
-  summary.greedy_run.rounds = 7;
-  EXPECT_NE(summary.ToJson().find("\"started\":true,\"rounds\":7,"),
+  summary.stats.counters.push_back({"greedy_run_rounds", 7});
+  EXPECT_NE(summary.ToJson().find("\"counters\":{\"greedy_run_rounds\":7}}"),
             std::string::npos);
   // No raw control characters or unescaped quotes inside string values.
   for (char c : json) EXPECT_GE(static_cast<unsigned char>(c), 0x20u);

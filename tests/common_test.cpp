@@ -18,7 +18,7 @@
 #include "common/stopwatch.h"
 #include "common/strings.h"
 #include "common/table_writer.h"
-#include "obs/request_trace.h"
+#include "obs/trace.h"
 
 namespace osrs {
 namespace {

@@ -14,7 +14,6 @@
 #include "core/distance.h"
 #include "obs/metrics.h"
 #include "obs/openmetrics.h"
-#include "obs/request_trace.h"
 #include "obs/solver_stats.h"
 #include "obs/trace.h"
 #include "ontology/cellphone_hierarchy.h"
@@ -199,31 +198,71 @@ TEST(HistogramTest, ThreadSafeObserveMatchesSnapshot) {
 // ------------------------------------------------------------------ Trace --
 
 TEST(TraceTest, SpansRecordIntoInstalledTrace) {
-  obs::SolveTrace trace;
+  obs::RequestTrace trace;
   {
     obs::Tracer::Scope scope(&trace);
-    obs::TraceSpan outer(obs::Phase::kGreedyIterations);
+    EXPECT_EQ(obs::Tracer::current(), &trace);
+    obs::TraceSpan outer(obs::SpanKind::kGreedyIterations);
     {
-      obs::TraceSpan inner(obs::Phase::kHeapInit);
+      obs::TraceSpan inner(obs::SpanKind::kHeapInit);
       obs::TraceStat(obs::Stat::kHeapPops, 3);
     }
   }
-  EXPECT_EQ(trace.phase_calls(obs::Phase::kGreedyIterations), 1);
-  EXPECT_EQ(trace.phase_calls(obs::Phase::kHeapInit), 1);
-  EXPECT_GE(trace.phase_nanos(obs::Phase::kHeapInit), 0);
+  EXPECT_EQ(obs::Tracer::current(), nullptr) << "the scope restores none";
+  ASSERT_EQ(trace.spans().size(), 2u);
+  EXPECT_EQ(trace.spans()[0].kind, obs::SpanKind::kGreedyIterations);
+  EXPECT_EQ(trace.spans()[0].depth, 0);
+  EXPECT_EQ(trace.spans()[1].kind, obs::SpanKind::kHeapInit);
+  EXPECT_EQ(trace.spans()[1].depth, 1);
+  EXPECT_GE(trace.spans()[1].duration_ns, 0);
   EXPECT_EQ(trace.stat(obs::Stat::kHeapPops), 3);
-  EXPECT_EQ(trace.open_spans(), 0);
-  EXPECT_EQ(trace.max_depth(), 2);
-  EXPECT_FALSE(trace.empty());
-  trace.Reset();
-  EXPECT_TRUE(trace.empty());
+  EXPECT_TRUE(trace.balanced());
 }
 
 TEST(TraceTest, NoInstalledTraceRecordsNothing) {
-  // Spans and stats with no trace installed must be harmless no-ops.
-  obs::TraceSpan span(obs::Phase::kLpRelaxation);
-  obs::TraceStat(obs::Stat::kSimplexPivots, 5);
-  SUCCEED();
+  // Spans and stats with no trace installed must be harmless no-ops, and
+  // must not reach a trace that is not installed.
+  obs::RequestTrace bystander;
+  ASSERT_EQ(obs::Tracer::current(), nullptr);
+  {
+    obs::TraceSpan span(obs::SpanKind::kLpRelaxation);
+    obs::DeferredTraceSpan deferred(obs::SpanKind::kGreedy);
+    deferred.Open();
+    obs::TraceStat(obs::Stat::kSimplexPivots, 5);
+  }
+  EXPECT_TRUE(bystander.spans().empty());
+  EXPECT_EQ(bystander.stat(obs::Stat::kSimplexPivots), 0);
+}
+
+TEST(TraceTest, DeferredSpanIsRecordedOnlyWhenOpened) {
+  obs::RequestTrace trace;
+  obs::Tracer::Scope scope(&trace);
+  { obs::DeferredTraceSpan unused(obs::SpanKind::kGraphBuild); }
+  EXPECT_TRUE(trace.spans().empty());
+  {
+    obs::DeferredTraceSpan build(obs::SpanKind::kGraphBuild);
+    build.Open();
+    build.Open();  // idempotent
+    obs::TraceSpan inner(obs::SpanKind::kBuildCoverageGraph);
+  }
+  ASSERT_EQ(trace.spans().size(), 2u);
+  EXPECT_EQ(trace.spans()[0].kind, obs::SpanKind::kGraphBuild);
+  EXPECT_EQ(trace.spans()[1].depth, 1);
+  EXPECT_LE(trace.spans()[0].start_ns, trace.spans()[1].start_ns);
+  EXPECT_TRUE(trace.balanced());
+}
+
+TEST(TraceTest, DeferredSpanOpenedAfterAnotherSpanDies) {
+  // The backdated span would land after a span that started later.
+  EXPECT_DEATH(
+      {
+        obs::RequestTrace trace;
+        obs::Tracer::Scope scope(&trace);
+        obs::DeferredTraceSpan build(obs::SpanKind::kGraphBuild);
+        { obs::TraceSpan other(obs::SpanKind::kHeapInit); }
+        build.Open();
+      },
+      "");
 }
 
 TEST(TraceTest, NestingBalancedOnEarlyBudgetReturn) {
@@ -232,7 +271,7 @@ TEST(TraceTest, NestingBalancedOnEarlyBudgetReturn) {
   CoverageGraph graph =
       CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
 
-  obs::SolveTrace trace;
+  obs::RequestTrace trace;
   obs::Tracer::Scope scope(&trace);
   ExecutionBudget budget;
   budget.SetMaxWork(1);  // trips during greedy selection
@@ -240,16 +279,18 @@ TEST(TraceTest, NestingBalancedOnEarlyBudgetReturn) {
   auto result = greedy.Summarize(graph, 10, budget);
   // Whether the budget surfaced as an error or an approximate incumbent,
   // every span opened on the early path must have closed again.
+  EXPECT_TRUE(trace.balanced());
   EXPECT_EQ(trace.open_spans(), 0);
-  EXPECT_GE(trace.max_depth(), 1);
+  EXPECT_TRUE(trace.HasSpan(obs::SpanKind::kHeapInit));
   (void)result;
 }
 
 // ------------------------------------------------------------ SolverStats --
 
 TEST(SolverStatsTest, FromTraceKeepsOnlyNonZero) {
-  obs::SolveTrace trace;
-  trace.RecordPhase(obs::Phase::kHeapInit, 2'000'000);
+  obs::RequestTrace trace;
+  trace.AddSpan(obs::SpanKind::kServe, 0, 9'000'000);  // not a solver phase
+  trace.AddSpan(obs::SpanKind::kHeapInit, 0, 2'000'000);
   trace.AddStat(obs::Stat::kHeapPops, 7);
   obs::SolverStats stats = obs::SolverStats::FromTrace(trace);
   ASSERT_EQ(stats.phases.size(), 1u);
@@ -279,6 +320,20 @@ TEST(SolverStatsTest, MergeFromSumsByName) {
   EXPECT_NE(json.find("\"simplex_pivots\":9"), std::string::npos);
 }
 
+TEST(SolverStatsTest, FromTraceReportsOnlyWhatFollowsTheMark) {
+  obs::RequestTrace trace;
+  trace.AddSpan(obs::SpanKind::kHeapInit, 0, 1'000'000);
+  trace.AddStat(obs::Stat::kHeapPops, 4);
+  const obs::RequestTrace::Mark mark = trace.mark();
+  trace.AddSpan(obs::SpanKind::kGreedyIterations, 0, 3'000'000);
+  trace.AddStat(obs::Stat::kHeapPops, 2);
+  obs::SolverStats stats = obs::SolverStats::FromTrace(trace, mark);
+  ASSERT_EQ(stats.phases.size(), 1u);
+  EXPECT_EQ(stats.phases[0].name, "greedy_iterations");
+  EXPECT_EQ(stats.counter("heap_pops"), 2);
+  EXPECT_TRUE(obs::SolverStats::FromTrace(trace, trace.mark()).empty());
+}
+
 // ----------------------------------------------- Determinism (greedy runs) --
 
 TEST(TraceTest, GreedyDistanceEvaluationsDeterministicAcrossRuns) {
@@ -290,7 +345,7 @@ TEST(TraceTest, GreedyDistanceEvaluationsDeterministicAcrossRuns) {
 
   int64_t first_run = -1;
   for (int run = 0; run < 3; ++run) {
-    obs::SolveTrace trace;
+    obs::RequestTrace trace;
     obs::Tracer::Scope scope(&trace);
     auto result = greedy.Summarize(graph, 6);
     ASSERT_TRUE(result.ok());
@@ -453,18 +508,18 @@ TEST(RequestTraceTest, DeriveTraceIdIsDeterministicAndDispersed) {
 
 TEST(RequestTraceTest, NestedSpansBalanceAndRecordDepth) {
   obs::RequestTrace trace;
-  size_t root = trace.BeginSpan(obs::RequestSpanKind::kServe);
-  size_t inner = trace.BeginSpan(obs::RequestSpanKind::kCacheProbe);
+  size_t root = trace.BeginSpan(obs::SpanKind::kServe);
+  size_t inner = trace.BeginSpan(obs::SpanKind::kCacheProbe);
   EXPECT_FALSE(trace.balanced()) << "open spans are unbalanced";
   trace.EndSpan(inner);
-  trace.AddSpan(obs::RequestSpanKind::kQueueWait, 10, 5);
+  trace.AddSpan(obs::SpanKind::kQueueWait, 10, 5);
   trace.EndSpan(root);
   EXPECT_TRUE(trace.balanced());
   EXPECT_EQ(trace.spans().size(), 3u);
   EXPECT_EQ(trace.spans()[0].depth, 0);
   EXPECT_EQ(trace.spans()[1].depth, 1);
-  EXPECT_TRUE(trace.HasSpan(obs::RequestSpanKind::kQueueWait));
-  EXPECT_GE(trace.SpanDurationNs(obs::RequestSpanKind::kServe), 0);
+  EXPECT_TRUE(trace.HasSpan(obs::SpanKind::kQueueWait));
+  EXPECT_GE(trace.SpanDurationNs(obs::SpanKind::kServe), 0);
 
   std::string json = trace.ToJson();
   EXPECT_NE(json.find("\"trace_id\":\""), std::string::npos);

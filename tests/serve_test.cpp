@@ -9,6 +9,7 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -23,7 +24,8 @@
 #include "datagen/cellphone_corpus.h"
 #include "fault/failpoint.h"
 #include "obs/metrics.h"
-#include "obs/request_trace.h"
+#include "obs/solver_stats.h"
+#include "obs/trace.h"
 #include "ontology/cellphone_hierarchy.h"
 #include "ontology/ontology.h"
 #include "serve/server.h"
@@ -507,7 +509,7 @@ TEST_F(ServeTest, InjectedBadAllocIsIsolatedToItsRequest) {
   EXPECT_EQ(ok.outcome, ServeOutcome::kSolved);
   // The failed build stored nothing: the healthy read built the graph
   // afresh, and that is the only build counted.
-  EXPECT_TRUE(ok.trace.HasSpan(obs::RequestSpanKind::kGraphBuild));
+  EXPECT_TRUE(ok.trace.HasSpan(obs::SpanKind::kGraphBuild));
   EXPECT_EQ(server.counters().graph_builds, 1);
 }
 
@@ -526,7 +528,7 @@ TEST_F(ServeTest, OverMemoryLimitItemFailsEveryRead) {
     EXPECT_EQ(response.outcome, ServeOutcome::kFailed) << "read " << read;
     EXPECT_EQ(response.status.code(), StatusCode::kResourceExhausted)
         << "read " << read << ": " << response.status.ToString();
-    EXPECT_TRUE(response.trace.HasSpan(obs::RequestSpanKind::kGraphBuild))
+    EXPECT_TRUE(response.trace.HasSpan(obs::SpanKind::kGraphBuild))
         << "read " << read << " must try the build again";
   }
   EXPECT_EQ(server.counters().graph_builds, 0);
@@ -724,11 +726,11 @@ TEST_F(SharedGraphTest, GraphBuildSpanMarksOnlyTheReadThatBuilt) {
     request.k = 3;
     ServeResponse first = server.Serve(request);
     ASSERT_TRUE(first.status.ok()) << first.status.ToString();
-    EXPECT_TRUE(first.trace.HasSpan(obs::RequestSpanKind::kGraphBuild));
+    EXPECT_TRUE(first.trace.HasSpan(obs::SpanKind::kGraphBuild));
     request.k = 4;
     ServeResponse second = server.Serve(request);
     ASSERT_TRUE(second.status.ok()) << second.status.ToString();
-    EXPECT_FALSE(second.trace.HasSpan(obs::RequestSpanKind::kGraphBuild))
+    EXPECT_FALSE(second.trace.HasSpan(obs::SpanKind::kGraphBuild))
         << "a reused graph must not show a build span";
     auto first_graph = facade.BuildGraph(item_, 3);
     ASSERT_TRUE(first_graph.ok());
@@ -739,7 +741,7 @@ TEST_F(SharedGraphTest, GraphBuildSpanMarksOnlyTheReadThatBuilt) {
     server.UpdateItem(next);
     ServeResponse updated = server.Serve(request);
     ASSERT_TRUE(updated.status.ok()) << updated.status.ToString();
-    EXPECT_TRUE(updated.trace.HasSpan(obs::RequestSpanKind::kGraphBuild));
+    EXPECT_TRUE(updated.trace.HasSpan(obs::SpanKind::kGraphBuild));
     auto next_graph = facade.BuildGraph(next, 4);
     ASSERT_TRUE(next_graph.ok());
     EXPECT_NE((*next_graph)->EstimateBytes(), (*first_graph)->EstimateBytes());
@@ -753,6 +755,128 @@ TEST_F(SharedGraphTest, GraphBuildSpanMarksOnlyTheReadThatBuilt) {
   EXPECT_EQ(graph_bytes->value(), bytes_before)
       << "stopping the server frees every graph";
   obs::MetricsRegistry::Global().SetEnabled(false);
+}
+
+/// The index of the parent of span `index` (the closest earlier span one
+/// level up), or -1 for a root.
+int ParentOf(const obs::RequestTrace& trace, size_t index) {
+  const std::vector<obs::Span>& spans = trace.spans();
+  for (size_t i = index; i-- > 0;) {
+    if (spans[i].depth == spans[index].depth - 1) return static_cast<int>(i);
+  }
+  return -1;
+}
+
+/// Expects a span of chain.back() whose ancestors are, from its parent up,
+/// the kinds before it in `chain`, each child lying inside its parent in
+/// time.
+void ExpectNested(const obs::RequestTrace& trace,
+                  const std::vector<obs::SpanKind>& chain) {
+  const std::vector<obs::Span>& spans = trace.spans();
+  bool found = false;
+  for (size_t i = 0; i < spans.size() && !found; ++i) {
+    if (spans[i].kind != chain.back()) continue;
+    found = true;
+    int child = static_cast<int>(i);
+    for (size_t c = chain.size() - 1; c > 0 && found; --c) {
+      const int parent = ParentOf(trace, static_cast<size_t>(child));
+      found = parent >= 0 && spans[static_cast<size_t>(parent)].kind ==
+                                 chain[c - 1];
+      if (!found) break;
+      const obs::Span& outer = spans[static_cast<size_t>(parent)];
+      const obs::Span& inner = spans[static_cast<size_t>(child)];
+      found = inner.start_ns >= outer.start_ns &&
+              inner.start_ns + inner.duration_ns <=
+                  outer.start_ns + outer.duration_ns;
+      child = parent;
+    }
+    if (found) found = ParentOf(trace, static_cast<size_t>(child)) < 0;
+  }
+  std::string path;
+  for (obs::SpanKind kind : chain) {
+    path += std::string(path.empty() ? "" : " > ") + obs::SpanKindName(kind);
+  }
+  EXPECT_TRUE(found) << path << " missing from " << trace.ToJson();
+}
+
+TEST_F(SharedGraphTest, SolverPhasesNestUnderTheSolveSpan) {
+  // collect_stats off, as osrs_serve and the benchmark run: the tree does
+  // not depend on it.
+  ServeOptions options;
+  options.num_threads = 1;
+  options.summarizer.collect_stats = false;
+  SummaryServer server(&onto_, {item_}, options);
+  using Kind = obs::SpanKind;
+
+  ServeRequest request;
+  request.item_id = item_.id;
+  request.bypass_cache = true;
+  request.k = 6;
+  ServeResponse first = server.Serve(request);
+  ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+  EXPECT_TRUE(first.trace.balanced());
+  EXPECT_TRUE(first.summary.stats.empty());
+  ExpectNested(first.trace, {Kind::kServe, Kind::kSolve, Kind::kGraphBuild,
+                             Kind::kBuildCoverageGraph});
+  ExpectNested(first.trace, {Kind::kServe, Kind::kSolve, Kind::kSolveAttempt,
+                             Kind::kGreedy, Kind::kHeapInit});
+  ExpectNested(first.trace, {Kind::kServe, Kind::kSolve, Kind::kSolveAttempt,
+                             Kind::kGreedy, Kind::kGreedyIterations});
+  EXPECT_GT(first.trace.stat(obs::Stat::kGraphEdgesBuilt), 0);
+  EXPECT_EQ(first.trace.stat(obs::Stat::kGreedyRunStarts), 1);
+  EXPECT_EQ(first.trace.stat(obs::Stat::kGreedyRunRounds), 6);
+
+  // A smaller k slices the run: an attempt, but no build and no run work.
+  request.k = 3;
+  ServeResponse second = server.Serve(request);
+  ASSERT_TRUE(second.status.ok()) << second.status.ToString();
+  EXPECT_TRUE(second.trace.balanced());
+  ExpectNested(second.trace,
+               {Kind::kServe, Kind::kSolve, Kind::kSolveAttempt});
+  for (Kind absent : {Kind::kGraphBuild, Kind::kBuildCoverageGraph,
+                      Kind::kGreedy, Kind::kHeapInit,
+                      Kind::kGreedyIterations}) {
+    EXPECT_FALSE(second.trace.HasSpan(absent)) << obs::SpanKindName(absent);
+  }
+  EXPECT_EQ(second.trace.stat(obs::Stat::kGreedyRunRounds), 0);
+  EXPECT_EQ(server.counters().greedy_runs, 1);
+}
+
+TEST_F(SharedGraphTest, CollectedStatsAggregateTheRequestsSolverSpans) {
+  ServeOptions options;
+  options.num_threads = 1;
+  ASSERT_TRUE(options.summarizer.collect_stats);
+  SummaryServer server(&onto_, {item_}, options);
+  for (int k : {6, 3, 8}) {
+    ServeRequest request;
+    request.item_id = item_.id;
+    request.bypass_cache = true;
+    request.k = k;
+    ServeResponse served = server.Serve(request);
+    ASSERT_TRUE(served.status.ok()) << served.status.ToString();
+    const obs::SolverStats& stats = served.summary.stats;
+    // Sum the trace's solver-phase spans by name: nanoseconds and count.
+    std::map<std::string, std::pair<int64_t, int64_t>> phases;
+    for (const obs::Span& span : served.trace.spans()) {
+      if (!obs::IsSolverPhase(span.kind)) continue;
+      auto& [nanos, calls] = phases[obs::SpanKindName(span.kind)];
+      nanos += span.duration_ns;
+      calls += 1;
+    }
+    ASSERT_EQ(stats.phases.size(), phases.size()) << "k=" << k;
+    for (const obs::PhaseStat& phase : stats.phases) {
+      auto it = phases.find(phase.name);
+      ASSERT_NE(it, phases.end()) << phase.name;
+      EXPECT_DOUBLE_EQ(phase.millis,
+                       static_cast<double>(it->second.first) * 1e-6);
+      EXPECT_EQ(phase.calls, it->second.second) << phase.name;
+    }
+    for (int s = 0; s < obs::kNumStats; ++s) {
+      const obs::Stat stat = static_cast<obs::Stat>(s);
+      EXPECT_EQ(stats.counter(obs::StatName(stat)), served.trace.stat(stat))
+          << obs::StatName(stat) << " k=" << k;
+    }
+  }
 }
 
 TEST_F(SharedGraphTest, ConcurrentDistinctKOnFreshItemBuildOnce) {
@@ -797,11 +921,23 @@ TEST_F(SharedGraphTest, ConcurrentDistinctKOnFreshItemBuildOnce) {
       ASSERT_TRUE(direct.ok());
       EXPECT_EQ(Fingerprint(response.summary), Fingerprint(*direct))
           << "k=" << 1 + c;
-      // Reads that ran rounds or waited on the one that did show a span.
-      EXPECT_EQ(response.trace.HasSpan(obs::RequestSpanKind::kGreedy),
-                response.summary.greedy_run.active);
-      started += response.summary.greedy_run.started ? 1 : 0;
-      rounds += response.summary.greedy_run.rounds;
+      // A read that started the run or ran rounds shows a greedy span,
+      // and its counters are in its own trace and stats alike.
+      const int64_t read_starts =
+          response.trace.stat(obs::Stat::kGreedyRunStarts);
+      const int64_t read_rounds =
+          response.trace.stat(obs::Stat::kGreedyRunRounds);
+      if (read_starts > 0 || read_rounds > 0) {
+        EXPECT_TRUE(response.trace.HasSpan(obs::SpanKind::kGreedy));
+      }
+      EXPECT_EQ(response.trace.HasSpan(obs::SpanKind::kHeapInit),
+                read_starts > 0);
+      EXPECT_EQ(response.summary.stats.counter("greedy_run_starts"),
+                read_starts);
+      EXPECT_EQ(response.summary.stats.counter("greedy_run_rounds"),
+                read_rounds);
+      started += read_starts;
+      rounds += read_rounds;
     }
     EXPECT_EQ(server.counters().solves, kClients);
     EXPECT_EQ(server.counters().graph_builds, 1)
@@ -841,13 +977,17 @@ TEST_F(SharedGraphTest, GreedyRunAnswersAnyKOrderLikeColdSolves) {
         EXPECT_EQ(server.counters().greedy_runs, 1) << context;
         int high = 0;  // the longest the run has been
         for (size_t i = 0; i < first.size(); ++i) {
-          const GreedyRunUse& use = first[i].summary.greedy_run;
-          EXPECT_EQ(use.started, i == 0) << context;
-          EXPECT_EQ(use.rounds, std::max(0, order[i] - high)) << context;
+          const obs::RequestTrace& trace = first[i].trace;
+          const int64_t starts = trace.stat(obs::Stat::kGreedyRunStarts);
+          const int64_t rounds = trace.stat(obs::Stat::kGreedyRunRounds);
+          EXPECT_EQ(starts, i == 0 ? 1 : 0) << context;
+          EXPECT_EQ(rounds, std::max(0, order[i] - high)) << context;
           high = std::max(high, order[i]);
           // A read that only sliced the run shows no greedy span.
-          EXPECT_EQ(first[i].trace.HasSpan(obs::RequestSpanKind::kGreedy),
-                    use.rounds > 0 || use.started)
+          EXPECT_EQ(trace.HasSpan(obs::SpanKind::kGreedy),
+                    rounds > 0 || starts > 0)
+              << context << " k=" << order[i];
+          EXPECT_EQ(trace.HasSpan(obs::SpanKind::kHeapInit), starts > 0)
               << context << " k=" << order[i];
         }
 
@@ -857,8 +997,9 @@ TEST_F(SharedGraphTest, GreedyRunAnswersAnyKOrderLikeColdSolves) {
         for (const ServeResponse& sliced : ExpectColdAnswers(
                  server, item_, options.summarizer, context + " bumped",
                  order)) {
-          EXPECT_EQ(sliced.summary.greedy_run.rounds, 0) << context;
-          EXPECT_FALSE(sliced.trace.HasSpan(obs::RequestSpanKind::kGreedy));
+          EXPECT_EQ(sliced.trace.stat(obs::Stat::kGreedyRunRounds), 0)
+              << context;
+          EXPECT_FALSE(sliced.trace.HasSpan(obs::SpanKind::kGreedy));
         }
         EXPECT_EQ(server.counters().greedy_runs, 1) << context;
 
@@ -867,7 +1008,8 @@ TEST_F(SharedGraphTest, GreedyRunAnswersAnyKOrderLikeColdSolves) {
         server.UpdateItem(next);
         std::vector<ServeResponse> updated = ExpectColdAnswers(
             server, next, options.summarizer, context + " updated", order);
-        EXPECT_TRUE(updated.front().summary.greedy_run.started) << context;
+        EXPECT_EQ(updated.front().trace.stat(obs::Stat::kGreedyRunStarts), 1)
+            << context;
         EXPECT_EQ(server.counters().greedy_runs, 2) << context;
         EXPECT_EQ(server.counters().graph_builds, 2) << context;
       }
@@ -948,7 +1090,7 @@ TEST_F(SharedGraphTest, AutoEpsilonBuildsPerRequestAndMatchesColdSolves) {
     auto direct = cold.Summarize(item_, k);
     ASSERT_TRUE(direct.ok());
     EXPECT_EQ(Fingerprint(served.summary), Fingerprint(*direct)) << "k=" << k;
-    EXPECT_TRUE(served.trace.HasSpan(obs::RequestSpanKind::kGraphBuild));
+    EXPECT_TRUE(served.trace.HasSpan(obs::SpanKind::kGraphBuild));
     EXPECT_EQ(server.counters().graph_builds, ++builds)
         << "auto_epsilon must build one graph per request";
     epsilons.push_back(served.summary.epsilon);
@@ -959,7 +1101,16 @@ TEST_F(SharedGraphTest, AutoEpsilonBuildsPerRequestAndMatchesColdSolves) {
 
 // ------------------------------------------------- request tracing ---------
 
-using obs::RequestSpanKind;
+using obs::SpanKind;
+
+/// The solver-phase spans of `trace`, in order.
+std::vector<obs::Span> SolverSpans(const obs::RequestTrace& trace) {
+  std::vector<obs::Span> out;
+  for (const obs::Span& span : trace.spans()) {
+    if (obs::IsSolverPhase(span.kind)) out.push_back(span);
+  }
+  return out;
+}
 
 TEST_F(ServeTest, CoalescedFollowersShareSolveSpanWithDistinctRequestIds) {
   ASSERT_TRUE(FailpointRegistry::Global()
@@ -988,7 +1139,7 @@ TEST_F(ServeTest, CoalescedFollowersShareSolveSpanWithDistinctRequestIds) {
   for (const ServeResponse& response : responses) {
     ASSERT_TRUE(response.status.ok()) << response.status.ToString();
     EXPECT_TRUE(response.trace.balanced());
-    EXPECT_TRUE(response.trace.HasSpan(RequestSpanKind::kSolve))
+    EXPECT_TRUE(response.trace.HasSpan(SpanKind::kSolve))
         << "followers must carry the leader's solve span";
     EXPECT_GT(response.request_id, 0u);
     EXPECT_EQ(response.request_id, response.trace.context.request_id);
@@ -1001,15 +1152,24 @@ TEST_F(ServeTest, CoalescedFollowersShareSolveSpanWithDistinctRequestIds) {
   EXPECT_EQ(request_ids.size(), static_cast<size_t>(kClients))
       << "coalescing must not collapse request identities";
   ASSERT_NE(leader, nullptr);
-  EXPECT_FALSE(leader->trace.HasSpan(RequestSpanKind::kCoalescedWait));
+  EXPECT_FALSE(leader->trace.HasSpan(SpanKind::kCoalescedWait));
+  // The leader's solve ran every solver phase of a first read.
+  const std::vector<obs::Span> leader_solver_spans =
+      SolverSpans(leader->trace);
+  for (SpanKind kind : {SpanKind::kBuildCoverageGraph, SpanKind::kSolveAttempt,
+                        SpanKind::kHeapInit, SpanKind::kGreedyIterations}) {
+    EXPECT_TRUE(leader->trace.HasSpan(kind)) << obs::SpanKindName(kind);
+  }
   int64_t leader_solve_ns =
-      leader->trace.SpanDurationNs(RequestSpanKind::kSolve);
+      leader->trace.SpanDurationNs(SpanKind::kSolve);
   for (const ServeResponse& response : responses) {
     if (response.outcome != ServeOutcome::kCoalesced) continue;
-    EXPECT_EQ(response.trace.SpanDurationNs(RequestSpanKind::kSolve),
+    EXPECT_EQ(response.trace.SpanDurationNs(SpanKind::kSolve),
               leader_solve_ns)
         << "the solve span is shared, byte for byte, with the leader";
-    EXPECT_TRUE(response.trace.HasSpan(RequestSpanKind::kCoalescedWait));
+    EXPECT_EQ(SolverSpans(response.trace), leader_solver_spans)
+        << "a follower's copy carries the leader's solver spans";
+    EXPECT_TRUE(response.trace.HasSpan(SpanKind::kCoalescedWait));
   }
 }
 
@@ -1025,9 +1185,9 @@ TEST_F(ServeTest, ShedDegradedAndCompletedOutcomesCarryBalancedSpanTrees) {
   ServeResponse shed = server.Serve(hurried);
   ASSERT_EQ(shed.outcome, ServeOutcome::kShed);
   EXPECT_TRUE(shed.trace.balanced());
-  EXPECT_TRUE(shed.trace.HasSpan(RequestSpanKind::kQueueWait));
-  EXPECT_TRUE(shed.trace.HasSpan(RequestSpanKind::kShedDecision));
-  EXPECT_FALSE(shed.trace.HasSpan(RequestSpanKind::kSolve))
+  EXPECT_TRUE(shed.trace.HasSpan(SpanKind::kQueueWait));
+  EXPECT_TRUE(shed.trace.HasSpan(SpanKind::kShedDecision));
+  EXPECT_FALSE(shed.trace.HasSpan(SpanKind::kSolve))
       << "a shed request must not carry a solve span";
 
   ServeRequest request;
@@ -1035,8 +1195,8 @@ TEST_F(ServeTest, ShedDegradedAndCompletedOutcomesCarryBalancedSpanTrees) {
   ServeResponse completed = server.Serve(request);
   ASSERT_TRUE(completed.status.ok());
   EXPECT_TRUE(completed.trace.balanced());
-  EXPECT_TRUE(completed.trace.HasSpan(RequestSpanKind::kQueueWait));
-  EXPECT_TRUE(completed.trace.HasSpan(RequestSpanKind::kSolve));
+  EXPECT_TRUE(completed.trace.HasSpan(SpanKind::kQueueWait));
+  EXPECT_TRUE(completed.trace.HasSpan(SpanKind::kSolve));
 
   // Degraded stale serve: cache on, epoch bumped, expired deadline.
   ServeOptions stale_options;
@@ -1047,8 +1207,8 @@ TEST_F(ServeTest, ShedDegradedAndCompletedOutcomesCarryBalancedSpanTrees) {
   ServeResponse degraded = stale_server.Serve(hurried);
   ASSERT_EQ(degraded.outcome, ServeOutcome::kDegraded);
   EXPECT_TRUE(degraded.trace.balanced());
-  EXPECT_TRUE(degraded.trace.HasSpan(RequestSpanKind::kQueueWait));
-  EXPECT_TRUE(degraded.trace.HasSpan(RequestSpanKind::kStaleFallback));
+  EXPECT_TRUE(degraded.trace.HasSpan(SpanKind::kQueueWait));
+  EXPECT_TRUE(degraded.trace.HasSpan(SpanKind::kStaleFallback));
 
   // Front-door rejection: still one balanced trace.
   ServeRequest unknown;

@@ -56,7 +56,7 @@
 #include "datagen/corpus_io.h"
 #include "obs/metrics.h"
 #include "obs/openmetrics.h"
-#include "obs/request_trace.h"
+#include "obs/trace.h"
 #include "serve/server.h"
 #include "store/journal.h"
 
