@@ -6,8 +6,9 @@
 # thread-safety stage (OSRS_THREAD_SAFETY=ON build of the concurrent core
 # plus the negative-compile harness, skipped when clang++ is not
 # installed), an observability stage (live `osrs_serve --drive` metrics
-# export validated by tools/check_openmetrics.sh, and a served trace that
-# must carry the solver phases as spans), a crash-recovery stage
+# export validated by tools/check_openmetrics.sh, a served trace that
+# must carry the solver phases as spans, and a mutating drive whose
+# counters must show write-time builds), a crash-recovery stage
 # (store-site fault schedule, a kill -9 mid-journal, then a clean restart
 # that must recover the committed prefix), an OSRS_SIMD=OFF build
 # running the solver bit-identity diff plus the tier-1 solver, facade and
@@ -143,6 +144,25 @@ for kind in heap_init build_coverage_graph; do
     exit 1
   fi
 done
+
+# Builds off the read path: a mutating --drive run must show write-time
+# builds in its JSON counters, with the request accounting intact.
+./build/tools/osrs_serve --drive 200 --clients 4 --scale 0.02 \
+    --mutate-every 4 --json > build/serve_write_builds.json 2> /dev/null
+if ! python3 - build/serve_write_builds.json <<'PY'
+import json, sys
+lines = [l for l in open(sys.argv[1]) if l.startswith("{")]
+c = json.loads(lines[-1])["counters"]
+ok = (c["write_builds"] > 0
+      and c["submitted"] == c["admitted"] + c["rejected"]
+      and c["admitted"] == c["completed"] + c["shed"] + c["failed"])
+sys.exit(0 if ok else 1)
+PY
+then
+  echo "ci.sh: mutating drive shows no write-time build or broken" \
+       "accounting (output build/serve_write_builds.json)" >&2
+  exit 1
+fi
 
 echo "== crash-recovery stage: store faults, kill -9, clean restart =="
 # Three acceptance checks for the durability layer on the real binary:

@@ -323,6 +323,14 @@ Result<std::shared_ptr<const SummaryGraph>> ReviewSummarizer::BuildGraph(
                                               std::move(built).value());
 }
 
+Status ReviewSummarizer::StartGreedyRun(const SummaryGraph& graph,
+                                        const ExecutionBudget& budget) const {
+  const std::optional<GreedyOptions::Heap> heap =
+      GreedyHeapOf(options_.algorithm);
+  if (!heap.has_value()) return Status::OK();
+  return graph.SolveGreedy(*heap, 0, budget).status();
+}
+
 Result<ItemSummary> ReviewSummarizer::Summarize(
     const Item& item, int k, const ExecutionBudget& external,
     const GraphSource& graph_source) const {

@@ -86,10 +86,12 @@ struct ReviewSummarizerOptions {
   /// 0 uses the hardware concurrency; negative values are an
   /// InvalidArgument error at Summarize time. Graph construction dominates
   /// a greedy solve that builds its graph (~83% of such a solve on the
-  /// phone corpus). SummaryServer builds each item version's graph only on
-  /// its first read, so there this figure describes first reads alone.
-  /// Raising this pays off when requests do not already keep every core
-  /// busy.
+  /// phone corpus). SummaryServer builds each item version's graph once:
+  /// on its builder thread when UpdateItem installs the version, or on
+  /// the version's first read when no write-time build has started (the
+  /// versions it booted with, or a read that beat the builder). There this
+  /// figure describes only those builds. Raising this pays off when
+  /// requests do not already keep every core busy.
   int graph_build_threads = 1;
   /// Upper bound on the bytes any coverage graph built for the item may
   /// occupy (the solve graph and every auto_epsilon probe); 0 (the
@@ -364,6 +366,15 @@ class ReviewSummarizer {
   /// returned as is.
   Result<std::shared_ptr<const SummaryGraph>> BuildGraph(const Item& item,
                                                          int k) const;
+
+  /// Starts `graph`'s greedy run for the configured algorithm's heap with
+  /// zero rounds (SummaryGraph::SolveGreedy at k = 0): the heap init alone,
+  /// so that later solves on the graph only slice or extend the run. OK
+  /// with nothing run when the run has already started or the configured
+  /// algorithm is not greedy. Fails as the init does (a budget trip,
+  /// cancellation), which leaves the run slot empty.
+  Status StartGreedyRun(const SummaryGraph& graph,
+                        const ExecutionBudget& budget) const;
 
   const ReviewSummarizerOptions& options() const { return options_; }
 

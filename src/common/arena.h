@@ -165,6 +165,15 @@ class ArenaFrame {
 /// allocation entirely.
 Arena& PerThreadSolveArena();
 
+/// Frees AlignedAllocator storage. A block of at least kReleasedBlockBytes
+/// first hands its whole pages back to the kernel (MADV_DONTNEED): such
+/// blocks are the coverage graphs' CSR lanes, large and long-lived, and
+/// freed by whichever thread drops the graph last. Left in the per-thread
+/// malloc arenas, their pages would keep the process's resident memory
+/// near its high-water mark after the graphs are gone.
+void ReleaseAligned(void* pointer, size_t bytes, size_t alignment);
+inline constexpr size_t kReleasedBlockBytes = size_t{1} << 20;
+
 /// Allocator placing std::vector storage on 64-byte boundaries — used for
 /// the structure-of-arrays CSR lanes of the coverage graph so SIMD kernels
 /// see cache-line-aligned lane starts.
@@ -180,8 +189,8 @@ struct AlignedAllocator {
     return static_cast<T*>(
         ::operator new(count * sizeof(T), std::align_val_t(Alignment)));
   }
-  void deallocate(T* pointer, size_t) {
-    ::operator delete(pointer, std::align_val_t(Alignment));
+  void deallocate(T* pointer, size_t count) {
+    ReleaseAligned(pointer, count * sizeof(T), Alignment);
   }
 
   template <typename U>

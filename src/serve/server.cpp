@@ -107,7 +107,7 @@ std::string ServerCounters::ToJson() const {
       "\"completed\":%lld,\"shed\":%lld,\"failed\":%lld,"
       "\"coalesced\":%lld,\"solves\":%lld,\"cache_hits\":%lld,"
       "\"degraded\":%lld,\"epoch_bumps\":%lld,\"watchdog_stalls\":%lld,"
-      "\"graph_builds\":%lld,\"greedy_runs\":%lld}",
+      "\"graph_builds\":%lld,\"greedy_runs\":%lld,\"write_builds\":%lld}",
       static_cast<long long>(submitted), static_cast<long long>(admitted),
       static_cast<long long>(rejected), static_cast<long long>(completed),
       static_cast<long long>(shed), static_cast<long long>(failed),
@@ -116,7 +116,8 @@ std::string ServerCounters::ToJson() const {
       static_cast<long long>(epoch_bumps),
       static_cast<long long>(watchdog_stalls),
       static_cast<long long>(graph_builds),
-      static_cast<long long>(greedy_runs));
+      static_cast<long long>(greedy_runs),
+      static_cast<long long>(write_builds));
 }
 
 /// One in-flight solve plus every request attached to it. The first
@@ -148,11 +149,13 @@ struct SummaryServer::Flight {
 };
 
 /// One immutable version of a served item and the coverage graph built
-/// for it. The graph slot is filled by the first solve of the version;
-/// solves that need it meanwhile, for any k, wait on that one build. A
-/// failed build leaves the slot empty, so the next solve retries.
+/// for it. The graph slot is filled by whichever starts the build first:
+/// the write-time builder, for a version UpdateItem installed, or the
+/// version's first solve. Solves that need it meanwhile, for any k, wait
+/// on that one build, and a builder that comes later finds the slot full.
+/// A failed build leaves the slot empty, so the next solve retries.
 /// UpdateItem replaces the whole version, and the old graph goes with the
-/// last flight that still holds the old version.
+/// last flight (or the builder) that still holds the old version.
 struct SummaryServer::ItemVersion {
   explicit ItemVersion(Item version_item) : item(std::move(version_item)) {}
   ~ItemVersion() {
@@ -209,6 +212,12 @@ SummaryServer::SummaryServer(const Ontology* ontology, std::vector<Item> items,
   }
   if (options_.watchdog_stall_threshold_ms > 0.0) {
     watchdog_ = std::thread([this] { WatchdogLoop(); });
+  }
+  // Under auto_epsilon graphs are never shared, so there is nothing to
+  // build ahead of a read. Boot queues nothing: the recovered and initial
+  // versions are built by their first reads.
+  if (!options_.summarizer.auto_epsilon) {
+    builder_ = std::thread([this] { BuilderLoop(); });
   }
 }
 
@@ -327,6 +336,13 @@ void SummaryServer::UpdateItem(Item item) {
     std::shared_ptr<ItemVersion>& slot = items_[version->item.id];
     replaced = std::move(slot);
     slot = version;
+  }
+  if (!options_.summarizer.auto_epsilon) {
+    {
+      MutexLock lock(builder_mutex_);
+      if (!builder_stop_) build_queue_.push_back(version);
+    }
+    builder_cv_.NotifyOne();
   }
   uint64_t next = epoch_.Bump();
   {
@@ -820,7 +836,7 @@ Result<ItemSummary> SummaryServer::GuardedSolve(ItemVersion& version, int k,
       CatchAll("solve", [&]() -> Result<ItemSummary> {
         ReviewSummarizer summarizer(ontology_, options_.summarizer);
         return summarizer.Summarize(version.item, k, budget, [&] {
-          return AcquireGraph(version, summarizer, k);
+          return AcquireGraph(version, summarizer, k, /*write_time=*/false);
         });
       });
   const int64_t runs_started =
@@ -833,7 +849,8 @@ Result<ItemSummary> SummaryServer::GuardedSolve(ItemVersion& version, int k,
 }
 
 Result<std::shared_ptr<const SummaryGraph>> SummaryServer::AcquireGraph(
-    ItemVersion& version, const ReviewSummarizer& summarizer, int k) {
+    ItemVersion& version, const ReviewSummarizer& summarizer, int k,
+    bool write_time) {
   obs::DeferredTraceSpan build_span(obs::SpanKind::kGraphBuild);
   // Under auto_epsilon the elbow picks ε for this k, so the graph serves
   // only the solve that built it and never enters the slot.
@@ -852,22 +869,102 @@ Result<std::shared_ptr<const SummaryGraph>> SummaryServer::AcquireGraph(
   // leaving the slot marked as building forever.
   Result<std::shared_ptr<const SummaryGraph>> built = CatchAll(
       "graph build", [&] { return summarizer.BuildGraph(version.item, k); });
+  // Counted before the slot is filled, so a solve that reads the graph
+  // from the slot also sees the build in the counters and the gauge.
+  if (built.ok()) {
+    MutexLock lock(counters_mutex_);
+    ++counters_.graph_builds;
+    if (write_time) ++counters_.write_builds;
+  }
   if (shared) {
+    if (built.ok()) {
+      GraphBytesGauge()->Add(static_cast<int64_t>((*built)->EstimateBytes()));
+    }
     {
       MutexLock lock(version.mutex);
       version.building = false;
       if (built.ok()) version.graph = *built;
     }
     version.built_cv.NotifyAll();
-    if (built.ok()) {
-      GraphBytesGauge()->Add(static_cast<int64_t>((*built)->EstimateBytes()));
-    }
-  }
-  if (built.ok()) {
-    MutexLock lock(counters_mutex_);
-    ++counters_.graph_builds;
   }
   return built;
+}
+
+void SummaryServer::BuilderLoop() {
+  ReviewSummarizer summarizer(ontology_, options_.summarizer);
+  for (;;) {
+    std::weak_ptr<ItemVersion> written;
+    {
+      MutexLock lock(builder_mutex_);
+      while (!builder_stop_ && build_queue_.empty()) {
+        builder_cv_.Wait(builder_mutex_);
+      }
+      if (builder_stop_) return;
+      written = std::move(build_queue_.front());
+      build_queue_.pop_front();
+      builder_busy_ = true;
+    }
+    BuildWrittenVersion(written, summarizer);
+    {
+      MutexLock lock(builder_mutex_);
+      builder_busy_ = false;
+    }
+    builder_idle_cv_.NotifyAll();
+  }
+}
+
+void SummaryServer::BuildWrittenVersion(
+    const std::weak_ptr<ItemVersion>& written,
+    const ReviewSummarizer& summarizer) {
+  // A version replaced before its turn is skipped. It has usually expired;
+  // when a flight still holds it, that flight builds what it needs.
+  std::shared_ptr<ItemVersion> version = written.lock();
+  if (version == nullptr) return;
+  {
+    MutexLock lock(items_mutex_);
+    auto it = items_.find(version->item.id);
+    if (it == items_.end() || it->second != version) return;
+  }
+  // The builder's spans and counters go to a trace of its own, which only
+  // the greedy-run count below reads.
+  obs::RequestTrace trace;
+  obs::Tracer::Scope trace_scope(&trace);
+  // A failure leaves the failed step's slot empty, so the version's first
+  // read builds or starts what is missing, on the read path, as at boot.
+  Status status = CatchAll("write-time build", [&]() -> Status {
+    Result<std::shared_ptr<const SummaryGraph>> graph =
+        AcquireGraph(*version, summarizer, 0, /*write_time=*/true);
+    OSRS_RETURN_IF_ERROR(graph.status());
+    {
+      MutexLock lock(builder_mutex_);
+      if (builder_stop_) return Status::OK();
+    }
+    // The heap init runs unbudgeted: no request waits on it. A read that
+    // arrives meanwhile waits for the run and then slices it.
+    return summarizer.StartGreedyRun(**graph, ExecutionBudget::Unlimited());
+  });
+  const int64_t runs_started = trace.stat(obs::Stat::kGreedyRunStarts);
+  if (runs_started > 0) {
+    MutexLock lock(counters_mutex_);
+    counters_.greedy_runs += runs_started;
+  }
+  if (!status.ok()) {
+    OSRS_LOG(slog::Level::kWarn, "serve", "write-time build failed",
+             {"item", version->item.id},
+             {"code", StatusCodeToString(status.code())},
+             {"detail", status.message()});
+  }
+}
+
+bool SummaryServer::WaitForWriteBuilds(double timeout_ms) {
+  Stopwatch waited;
+  MutexLock lock(builder_mutex_);
+  while (builder_busy_ || !build_queue_.empty()) {
+    const double remaining_ms = timeout_ms - waited.ElapsedMillis();
+    if (remaining_ms <= 0.0) return false;
+    builder_idle_cv_.WaitForMs(builder_mutex_, remaining_ms);
+  }
+  return true;
 }
 
 void SummaryServer::CompleteFlight(const std::shared_ptr<Flight>& flight,
@@ -960,6 +1057,15 @@ void SummaryServer::Stop() {
     QueueDepthGauge()->Set(0);
   }
   work_cv_.NotifyAll();
+  // Queued write-time builds are dropped; the builder finishes the build
+  // it is running (a graph build cannot be interrupted) and exits.
+  {
+    MutexLock lock(builder_mutex_);
+    builder_stop_ = true;
+    build_queue_.clear();
+  }
+  builder_cv_.NotifyAll();
+  builder_idle_cv_.NotifyAll();
   for (const std::shared_ptr<Flight>& flight : drained) {
     ServeResponse response;
     response.status = Status::Unavailable("server stopped before the solve");
@@ -970,6 +1076,7 @@ void SummaryServer::Stop() {
   for (std::thread& worker : workers) {
     if (worker.joinable()) worker.join();
   }
+  if (builder_.joinable()) builder_.join();
   {
     MutexLock lock(watchdog_mutex_);
     watchdog_stop_ = true;

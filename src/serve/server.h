@@ -25,14 +25,17 @@
 // Results are cached in a bounded LRU keyed by (item, corpus epoch,
 // options fingerprint, k); BumpEpoch() invalidates the whole corpus
 // generation in O(1) without touching entries. Below the result cache,
-// each item version's coverage graph is built once, on its first solve,
-// and shared by every later solve of that version whatever its k (not
-// under auto_epsilon, whose ε depends on k); the graph carries its
-// greedy run, so greedy runs its heap init once per version too and
-// later solves slice the run or extend it. Failpoints
-// osrs.serve.{admit,solve,cache} let the chaos suite drive every path;
-// an exception escaping a solve (injected bad_alloc included) is isolated
-// to that request — the process never dies.
+// each item version's coverage graph is built once and shared by every
+// solve of that version whatever its k (not under auto_epsilon, whose ε
+// depends on k). A version UpdateItem installs is built off the read path:
+// one builder thread builds its graph and starts its greedy run (the heap
+// init) right after the write, so its reads only slice or extend the run.
+// A version no write-time build reached (the versions the server booted
+// with, or a read that beat the builder) is built by its first solve.
+// Failpoints osrs.serve.{admit,solve,cache} let the chaos suite drive
+// every path; an exception escaping a solve or a build (injected bad_alloc
+// included) is isolated to that request or build — the process never
+// dies.
 
 #include <atomic>
 #include <cstdint>
@@ -120,7 +123,8 @@ struct ServeRequest {
   double deadline_ms = 0.0;
   /// Skip the exact-hit cache read (the result is still inserted). Only
   /// the summary cache is skipped: the solve still reuses the item
-  /// version's coverage graph when an earlier solve built it, and a
+  /// version's coverage graph when it was built (at write time or by an
+  /// earlier solve), and a
   /// greedy solve still answers from that graph's greedy run (a slice, or
   /// an extension by the missing rounds), which equals a cold solve.
   bool bypass_cache = false;
@@ -182,13 +186,17 @@ struct ServerCounters {
   int64_t degraded = 0;    // responses with degraded == true
   int64_t epoch_bumps = 0;
   int64_t watchdog_stalls = 0;  // solves cancelled by the stall watchdog
-  /// Coverage graphs built by solves (successful builds only): one per item
-  /// version that was read, or one per solve under auto_epsilon.
+  /// Coverage graphs built (successful builds only), wherever they ran: by
+  /// the write-time builder or by a solve. About one per item version that
+  /// was written or read, or one per solve under auto_epsilon.
   int64_t graph_builds = 0;
-  /// Greedy runs started by successful solves (heap inits that
-  /// completed): about one per item version that was read, since later
-  /// solves of any k slice or extend the version graph's run.
+  /// Greedy runs started (heap inits that completed), by the write-time
+  /// builder or by successful solves: about one per item version, since
+  /// later solves of any k slice or extend the version graph's run.
   int64_t greedy_runs = 0;
+  /// Graphs the write-time builder built (a part of graph_builds): versions
+  /// UpdateItem installed whose build no read had started first.
+  int64_t write_builds = 0;
 
   std::string ToJson() const;
 };
@@ -221,29 +229,40 @@ class SummaryServer {
       OSRS_EXCLUDES(mutation_mutex_, items_mutex_, counters_mutex_);
   uint64_t epoch() const { return epoch_.value(); }
 
-  /// Replaces (or adds) one item and bumps the epoch — the minimal
-  /// "reviews arrived" mutation the future incremental engine will do
-  /// in-place. The new version's graph is built by its first solve; the
-  /// old version's graph is freed once no solve uses it any more. With
-  /// persistence on, the mutation is journaled (committed per the fsync
-  /// policy) before this returns.
+  /// Replaces (or adds) one item and bumps the epoch: "reviews arrived".
+  /// The new version is queued for the write-time builder, which builds
+  /// its graph and starts its greedy run unless a read has already started
+  /// the build or the version is replaced before its turn; this call does
+  /// not wait for it. The old version's graph is freed once no solve uses
+  /// it any more. With persistence on, the mutation is journaled
+  /// (committed per the fsync policy) before this returns.
   void UpdateItem(Item item)
-      OSRS_EXCLUDES(mutation_mutex_, items_mutex_, counters_mutex_);
+      OSRS_EXCLUDES(mutation_mutex_, items_mutex_, counters_mutex_,
+                    builder_mutex_);
+
+  /// Blocks until the write-time builder has no build queued or running,
+  /// or `timeout_ms` has passed; returns true when it is idle. True at once
+  /// under auto_epsilon (no builder) and after Stop().
+  bool WaitForWriteBuilds(double timeout_ms) OSRS_EXCLUDES(builder_mutex_);
 
   /// Stops accepting requests, fails whatever is still queued with
-  /// kUnavailable, and joins the workers (watchdog included). Idempotent.
-  void Stop() OSRS_EXCLUDES(mutex_, counters_mutex_, watchdog_mutex_);
+  /// kUnavailable, drops the queued write-time builds, and joins the
+  /// workers, the builder (after the build it is running) and the
+  /// watchdog. Idempotent.
+  void Stop()
+      OSRS_EXCLUDES(mutex_, counters_mutex_, watchdog_mutex_, builder_mutex_);
 
   /// Graceful drain: stops admitting new requests, waits for every
   /// admitted flight to complete (up to `deadline_ms`; <= 0 uses
   /// ServeOptions::drain_deadline_ms), then stops the workers — shedding
-  /// with kUnavailable whatever the deadline cut off — and writes a final
-  /// snapshot when persistence is on. Returns true when everything
+  /// with kUnavailable whatever the deadline cut off — and the builder,
+  /// as Stop() does, and writes a final snapshot when persistence is on.
+  /// Write-time builds are not waited for. Returns true when everything
   /// admitted completed within the deadline. Idempotent; safe to race
   /// with Stop().
   bool Drain(double deadline_ms = 0.0)
       OSRS_EXCLUDES(mutex_, items_mutex_, counters_mutex_, mutation_mutex_,
-                    watchdog_mutex_);
+                    watchdog_mutex_, builder_mutex_);
 
   /// Compacts the journal into a fresh snapshot of the current state now
   /// (the osrs_serve `snapshot` verb). kFailedPrecondition when
@@ -322,13 +341,22 @@ class SummaryServer {
                                    const ExecutionBudget& budget,
                                    obs::RequestTrace* trace)
       OSRS_EXCLUDES(counters_mutex_);
-  /// The graph source of one solve: the version's shared graph, built by
-  /// this call when no earlier solve has built it, waited for when another
-  /// solve is building it. Records a kGraphBuild span on the installed
-  /// trace unless the graph was already there.
+  /// The version's shared graph: built by this call when nothing has built
+  /// it, waited for when a solve or the builder is building it. The graph
+  /// source of every solve and the builder's first step (`write_time`,
+  /// which also counts the build in write_builds). Records a kGraphBuild
+  /// span on the installed trace unless the graph was already there.
   Result<std::shared_ptr<const SummaryGraph>> AcquireGraph(
-      ItemVersion& version, const ReviewSummarizer& summarizer, int k)
-      OSRS_EXCLUDES(counters_mutex_);
+      ItemVersion& version, const ReviewSummarizer& summarizer, int k,
+      bool write_time) OSRS_EXCLUDES(counters_mutex_);
+  /// The builder thread: takes queued versions in write order until Stop.
+  void BuilderLoop() OSRS_EXCLUDES(builder_mutex_);
+  /// One write-time build: skips a version that was replaced, acquires
+  /// its graph, then starts the greedy run of the configured heap.
+  /// Failures are logged and leave the slots empty for the reads.
+  void BuildWrittenVersion(const std::weak_ptr<ItemVersion>& written,
+                           const ReviewSummarizer& summarizer)
+      OSRS_EXCLUDES(items_mutex_, counters_mutex_, builder_mutex_);
   /// Stale-cache fallback; returns true and fills `response` when a
   /// degraded answer exists and policy allows serving it. Records a
   /// kStaleFallback span on the flight's trace either way.
@@ -344,7 +372,8 @@ class SummaryServer {
   /// Immutable item versions so a worker can solve against an item while
   /// UpdateItem swaps the map entry underneath it. Each carries the
   /// coverage graph built for it, so graph memory is one graph per live
-  /// item plus replaced versions that in-flight solves still hold.
+  /// item, plus replaced versions that in-flight solves still hold, plus
+  /// at most one version the builder is building.
   mutable Mutex items_mutex_;  // UpdateItem vs worker reads
   std::unordered_map<std::string, std::shared_ptr<ItemVersion>> items_
       OSRS_GUARDED_BY(items_mutex_);
@@ -407,6 +436,20 @@ class SummaryServer {
   /// Request-id source (ids start at 1) and the ring of completed traces.
   std::atomic<uint64_t> next_request_id_{0};
   obs::TraceRing trace_ring_;
+
+  /// Write-time builder (not started under auto_epsilon). The queue holds
+  /// versions in write order as weak pointers, so a queued build never
+  /// keeps a replaced version (and its item) alive. Readers never wait on
+  /// the queue, only on a version's graph slot. Stop() clears the queue;
+  /// the build running then completes before the thread is joined.
+  Mutex builder_mutex_;
+  CondVar builder_cv_;       // a version was queued, or stop
+  CondVar builder_idle_cv_;  // a build finished, or stop
+  std::deque<std::weak_ptr<ItemVersion>> build_queue_
+      OSRS_GUARDED_BY(builder_mutex_);
+  bool builder_busy_ OSRS_GUARDED_BY(builder_mutex_) = false;
+  bool builder_stop_ OSRS_GUARDED_BY(builder_mutex_) = false;
+  std::thread builder_;
 };
 
 }  // namespace osrs::serve

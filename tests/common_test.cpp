@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <set>
 #include <string>
@@ -7,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/arena.h"
 #include "common/crc32c.h"
 #include "common/execution_budget.h"
 #include "common/hash.h"
@@ -350,6 +352,32 @@ TEST(MathUtilTest, ClampAndNearlyEqual) {
 }
 
 // ----------------------------------------------------------- IndexedHeap --
+
+TEST(AlignedVectorTest, LanesKeepTheirValuesAcrossLargeBlockReleases) {
+  // One lane below the release threshold, one above; growing each moves
+  // it, so the old block is freed, the large one through the path that
+  // drops its pages first.
+  for (size_t count : {size_t{3}, kReleasedBlockBytes / sizeof(float) + 5}) {
+    AlignedVector<float> lane(count, 1.5f);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(lane.data()) % Arena::kAlignment,
+              0u);
+    lane.back() = 2.5f;
+    lane.resize(count + kReleasedBlockBytes / sizeof(float), 3.5f);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(lane.data()) % Arena::kAlignment,
+              0u);
+    EXPECT_EQ(lane.front(), 1.5f);
+    EXPECT_EQ(lane[count - 1], 2.5f);
+    EXPECT_EQ(lane.back(), 3.5f);
+    // A block malloc hands out again after a release holds what is
+    // written into it.
+    const size_t size = lane.size();
+    lane = AlignedVector<float>();
+    AlignedVector<float> again(size, 5.5f);
+    EXPECT_EQ(again.front(), 5.5f);
+    EXPECT_EQ(again[size / 2], 5.5f);
+    EXPECT_EQ(again.back(), 5.5f);
+  }
+}
 
 TEST(IndexedHeapTest, PopsInDescendingOrder) {
   IndexedMaxHeap heap({3.0, 1.0, 4.0, 1.5, 9.0});

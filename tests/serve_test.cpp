@@ -9,6 +9,8 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <chrono>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -626,6 +628,10 @@ TEST_F(ServeTest, StopDrainsQueuedRequestsAndRejectsNewOnes) {
 
 // ---------------------------------------------- shared coverage graph -----
 
+/// Bound on waiting for the write-time builder: far above a build of the
+/// test items, even under a sanitizer.
+constexpr double kBuilderWaitMs = 60000.0;
+
 /// A generated phone item of ~100 reviews (343 pairs), and the same item
 /// after `extra` more reviews arrived from another item of the corpus.
 class SharedGraphTest : public ServeTest {
@@ -737,18 +743,22 @@ TEST_F(SharedGraphTest, GraphBuildSpanMarksOnlyTheReadThatBuilt) {
     EXPECT_EQ(graph_bytes->value() - bytes_before,
               static_cast<int64_t>((*first_graph)->EstimateBytes()));
 
+    // The write builds the new version, so its read shows no build span.
     const Item next = NextVersion(5);
     server.UpdateItem(next);
+    ASSERT_TRUE(server.WaitForWriteBuilds(kBuilderWaitMs));
     ServeResponse updated = server.Serve(request);
     ASSERT_TRUE(updated.status.ok()) << updated.status.ToString();
-    EXPECT_TRUE(updated.trace.HasSpan(obs::SpanKind::kGraphBuild));
+    EXPECT_FALSE(updated.trace.HasSpan(obs::SpanKind::kGraphBuild))
+        << "a version built at write time must not show a build span";
     auto next_graph = facade.BuildGraph(next, 4);
     ASSERT_TRUE(next_graph.ok());
     EXPECT_NE((*next_graph)->EstimateBytes(), (*first_graph)->EstimateBytes());
     EXPECT_EQ(graph_bytes->value() - bytes_before,
               static_cast<int64_t>((*next_graph)->EstimateBytes()))
         << "the replaced version's graph must be freed";
-    EXPECT_NE(server.counters().ToJson().find("\"graph_builds\":2"),
+    EXPECT_NE(server.counters().ToJson().find(
+                  "\"graph_builds\":2,\"greedy_runs\":2,\"write_builds\":1"),
               std::string::npos)
         << server.counters().ToJson();
   }
@@ -1003,15 +1013,25 @@ TEST_F(SharedGraphTest, GreedyRunAnswersAnyKOrderLikeColdSolves) {
         }
         EXPECT_EQ(server.counters().greedy_runs, 1) << context;
 
-        // A new version starts its own run; the old run never answers
-        // (every answer is the new version's cold answer).
+        // A new version gets its own graph and run, both started at write
+        // time; the old run never answers (every answer is the new
+        // version's cold answer), and no read builds or inits a heap.
         server.UpdateItem(next);
+        ASSERT_TRUE(server.WaitForWriteBuilds(kBuilderWaitMs)) << context;
+        EXPECT_EQ(server.counters().greedy_runs, 2) << context;
         std::vector<ServeResponse> updated = ExpectColdAnswers(
             server, next, options.summarizer, context + " updated", order);
-        EXPECT_EQ(updated.front().trace.stat(obs::Stat::kGreedyRunStarts), 1)
-            << context;
+        for (const ServeResponse& served : updated) {
+          EXPECT_EQ(served.trace.stat(obs::Stat::kGreedyRunStarts), 0)
+              << context;
+          EXPECT_FALSE(served.trace.HasSpan(obs::SpanKind::kHeapInit))
+              << context;
+          EXPECT_FALSE(served.trace.HasSpan(obs::SpanKind::kGraphBuild))
+              << context;
+        }
         EXPECT_EQ(server.counters().greedy_runs, 2) << context;
         EXPECT_EQ(server.counters().graph_builds, 2) << context;
+        EXPECT_EQ(server.counters().write_builds, 1) << context;
       }
     }
   }
@@ -1097,6 +1117,201 @@ TEST_F(SharedGraphTest, AutoEpsilonBuildsPerRequestAndMatchesColdSolves) {
   }
   EXPECT_NE(epsilons[0], epsilons[1])
       << "test item no longer separates the elbow choices of k=2 and k=6";
+
+  // Graphs are never shared here, so a write queues no build.
+  server.UpdateItem(NextVersion(5));
+  EXPECT_TRUE(server.WaitForWriteBuilds(0.0));
+  EXPECT_EQ(server.counters().graph_builds, builds);
+  EXPECT_EQ(server.counters().write_builds, 0);
+}
+
+// ---------------------------------------------------- write-time builds ----
+
+/// Waits, within a generous bound, until failpoint `name` has been hit: a
+/// build has reached it. Returns whether it was hit.
+bool AwaitFailpointHit(const char* name) {
+  const fault::Failpoint* point = FailpointRegistry::Global().Get(name);
+  for (int i = 0; i < 60000 && point->hits() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return point->hits() > 0;
+}
+
+void ExpectAccountingHolds(const ServerCounters& c) {
+  EXPECT_EQ(c.submitted, c.admitted + c.rejected) << c.ToJson();
+  EXPECT_EQ(c.admitted, c.completed + c.shed + c.failed) << c.ToJson();
+}
+
+TEST_F(SharedGraphTest, WriteBuildsTheNewVersionBeforeAnyRead) {
+  std::vector<int> ks;
+  for (int k = 0; k <= 8; ++k) ks.push_back(k);
+  for (SummaryAlgorithm algorithm :
+       {SummaryAlgorithm::kGreedy, SummaryAlgorithm::kGreedyLazy}) {
+    const std::string context = SummaryAlgorithmToString(algorithm);
+    ServeOptions options;
+    options.num_threads = 2;
+    options.summarizer.algorithm = algorithm;
+    SummaryServer server(&onto_, {item_}, options);
+
+    const Item next = NextVersion(5);
+    server.UpdateItem(next);
+    ASSERT_TRUE(server.WaitForWriteBuilds(kBuilderWaitMs)) << context;
+    ServerCounters built = server.counters();
+    EXPECT_EQ(built.graph_builds, 1) << context;
+    EXPECT_EQ(built.greedy_runs, 1) << context;
+    EXPECT_EQ(built.write_builds, 1) << context;
+
+    // Every read only slices or extends the run the write started.
+    for (const ServeResponse& served :
+         ExpectColdAnswers(server, next, options.summarizer, context, ks)) {
+      EXPECT_FALSE(served.trace.HasSpan(obs::SpanKind::kGraphBuild))
+          << context;
+      EXPECT_FALSE(served.trace.HasSpan(obs::SpanKind::kHeapInit))
+          << context;
+      EXPECT_EQ(served.trace.stat(obs::Stat::kGreedyRunStarts), 0)
+          << context;
+    }
+    const ServerCounters after = server.counters();
+    EXPECT_EQ(after.graph_builds, 1) << context;
+    EXPECT_EQ(after.greedy_runs, 1) << context;
+    EXPECT_EQ(after.write_builds, 1) << context;
+    ExpectAccountingHolds(after);
+  }
+}
+
+TEST_F(SharedGraphTest, FailedWriteBuildLeavesTheFirstReadToBuild) {
+  obs::MetricsRegistry::Global().SetEnabled(true);
+  obs::Gauge* graph_bytes =
+      obs::MetricsRegistry::Global().GetGauge("osrs.serve.graph_bytes");
+  const int64_t bytes_before = graph_bytes->value();
+  {
+    ServeOptions options;
+    options.num_threads = 1;
+    SummaryServer server(&onto_, {item_}, options);
+    ASSERT_TRUE(FailpointRegistry::Global()
+                    .ArmFromSpec("osrs.coverage.alloc=bad_alloc:once")
+                    .ok());
+    const Item next = NextVersion(5);
+    server.UpdateItem(next);
+    ASSERT_TRUE(server.WaitForWriteBuilds(kBuilderWaitMs));
+    EXPECT_EQ(FailpointRegistry::Global()
+                  .Get("osrs.coverage.alloc")
+                  ->injections(),
+              1);
+    EXPECT_EQ(server.counters().graph_builds, 0);
+    EXPECT_EQ(server.counters().write_builds, 0);
+    EXPECT_EQ(graph_bytes->value(), bytes_before) << "the slot stays empty";
+
+    // The read builds on the read path and answers in full.
+    std::vector<ServeResponse> served =
+        ExpectColdAnswers(server, next, options.summarizer, "after failure",
+                          {5});
+    EXPECT_FALSE(served[0].degraded);
+    EXPECT_TRUE(served[0].trace.HasSpan(obs::SpanKind::kGraphBuild));
+    EXPECT_TRUE(served[0].trace.HasSpan(obs::SpanKind::kHeapInit));
+    const ServerCounters c = server.counters();
+    EXPECT_EQ(c.graph_builds, 1);
+    EXPECT_EQ(c.greedy_runs, 1);
+    EXPECT_EQ(c.write_builds, 0);
+    ExpectAccountingHolds(c);
+  }
+  EXPECT_EQ(graph_bytes->value(), bytes_before);
+  obs::MetricsRegistry::Global().SetEnabled(false);
+}
+
+TEST_F(SharedGraphTest, WriteBuildSkipsAVersionReplacedBeforeItsTurn) {
+  ServeOptions options;
+  options.num_threads = 1;
+  SummaryServer server(&onto_, {item_, donor_}, options);
+  // Hold the builder inside another item's build while two versions of
+  // item_ are written back to back: the first is replaced before its turn.
+  ASSERT_TRUE(FailpointRegistry::Global()
+                  .ArmFromSpec("osrs.coverage.alloc=delay(1000):once")
+                  .ok());
+  Item blocker = donor_;
+  blocker.reviews.pop_back();
+  server.UpdateItem(blocker);
+  ASSERT_TRUE(AwaitFailpointHit("osrs.coverage.alloc"));
+  server.UpdateItem(NextVersion(3));
+  const Item newest = NextVersion(5);
+  server.UpdateItem(newest);
+  ASSERT_TRUE(server.WaitForWriteBuilds(kBuilderWaitMs));
+  ServerCounters c = server.counters();
+  EXPECT_EQ(c.write_builds, 2) << "the blocker and the newest version only";
+  EXPECT_EQ(c.graph_builds, 2);
+  EXPECT_EQ(c.greedy_runs, 2);
+
+  std::vector<ServeResponse> served = ExpectColdAnswers(
+      server, newest, options.summarizer, "newest", {4});
+  EXPECT_FALSE(served[0].trace.HasSpan(obs::SpanKind::kGraphBuild));
+  c = server.counters();
+  EXPECT_EQ(c.graph_builds, 2);
+  ExpectAccountingHolds(c);
+}
+
+TEST_F(SharedGraphTest, WriteOfAnInvalidItemStillFailsItsRead) {
+  ServeOptions options;
+  options.num_threads = 1;
+  SummaryServer server(&onto_, {item_}, options);
+  Item invalid = NextVersion(5);
+  invalid.reviews[0].sentences[0].pairs[0].sentiment =
+      std::numeric_limits<double>::quiet_NaN();
+  server.UpdateItem(invalid);
+  ASSERT_TRUE(server.WaitForWriteBuilds(kBuilderWaitMs));
+  EXPECT_EQ(server.counters().graph_builds, 0);
+
+  ServeRequest request;
+  request.item_id = item_.id;
+  request.k = 3;
+  ServeResponse response = server.Serve(request);
+  EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument)
+      << response.status.ToString();
+  EXPECT_EQ(response.outcome, ServeOutcome::kFailed);
+  const ServerCounters c = server.counters();
+  EXPECT_EQ(c.graph_builds, 0);
+  EXPECT_EQ(c.write_builds, 0);
+  EXPECT_EQ(c.failed, 1);
+  ExpectAccountingHolds(c);
+}
+
+TEST_F(SharedGraphTest, StopAndDrainDropQueuedBuildsAndFreeEveryGraph) {
+  obs::MetricsRegistry::Global().SetEnabled(true);
+  obs::Gauge* graph_bytes =
+      obs::MetricsRegistry::Global().GetGauge("osrs.serve.graph_bytes");
+  const int64_t bytes_before = graph_bytes->value();
+  for (bool drain : {false, true}) {
+    SCOPED_TRACE(drain ? "Drain" : "Stop");
+    {
+      ServeOptions options;
+      options.num_threads = 2;
+      SummaryServer server(&onto_, {item_, donor_}, options);
+      // One build in flight (held in its allocation), three queued.
+      ASSERT_TRUE(FailpointRegistry::Global()
+                      .ArmFromSpec("osrs.coverage.alloc=delay(1000):once")
+                      .ok());
+      server.UpdateItem(NextVersion(5));
+      ASSERT_TRUE(AwaitFailpointHit("osrs.coverage.alloc"));
+      for (int i = 0; i < 3; ++i) {
+        Item queued = donor_;
+        queued.id = "queued-" + std::to_string(i);
+        server.UpdateItem(std::move(queued));
+      }
+      if (drain) {
+        EXPECT_TRUE(server.Drain(kBuilderWaitMs));
+      } else {
+        server.Stop();
+      }
+      EXPECT_TRUE(server.WaitForWriteBuilds(0.0));
+      const ServerCounters c = server.counters();
+      EXPECT_EQ(c.write_builds, 1) << "the build in flight completes";
+      EXPECT_EQ(c.graph_builds, 1) << "the queued builds are dropped";
+      EXPECT_EQ(c.greedy_runs, 0) << "a stopping builder starts no run";
+      ExpectAccountingHolds(c);
+    }
+    EXPECT_EQ(graph_bytes->value(), bytes_before);
+    FailpointRegistry::Global().DisarmAll();
+  }
+  obs::MetricsRegistry::Global().SetEnabled(false);
 }
 
 // ------------------------------------------------- request tracing ---------
@@ -1432,6 +1647,33 @@ TEST_F(ServeTest, WatchdogCancelsStalledSolveAndServerSurvives) {
   ServerCounters counters = server.counters();
   EXPECT_EQ(counters.admitted,
             counters.completed + counters.shed + counters.failed);
+}
+
+TEST_F(SharedGraphTest, RecoveredVersionsAreNotBuiltAtBoot) {
+  const std::string dir = FreshServeStateDir("write_builds");
+  ServeOptions options;
+  options.num_threads = 1;
+  options.state_dir = dir;
+  const Item next = NextVersion(5);
+  {
+    SummaryServer server(&onto_, {item_}, options);
+    ASSERT_TRUE(server.recovery_status().ok());
+    server.UpdateItem(NextVersion(3));
+    server.UpdateItem(next);
+  }
+  SummaryServer restarted(&onto_, {item_}, options);
+  ASSERT_TRUE(restarted.recovery_status().ok())
+      << restarted.recovery_status().ToString();
+  EXPECT_EQ(restarted.recovery_info().journal_records_replayed, 2u);
+  EXPECT_TRUE(restarted.WaitForWriteBuilds(0.0)) << "boot queues nothing";
+  EXPECT_EQ(restarted.counters().graph_builds, 0);
+
+  // The recovered version is built by its first read.
+  std::vector<ServeResponse> served = ExpectColdAnswers(
+      restarted, next, options.summarizer, "recovered", {4});
+  EXPECT_TRUE(served[0].trace.HasSpan(obs::SpanKind::kGraphBuild));
+  EXPECT_EQ(restarted.counters().graph_builds, 1);
+  EXPECT_EQ(restarted.counters().write_builds, 0);
 }
 
 }  // namespace

@@ -18,7 +18,8 @@
 //       quit
 //   * --drive <n> — a closed-loop load driver: <n> requests issued from
 //     --clients concurrent client threads round-robin over the items,
-//     then the counters (and the accounting identity
+//     then, once the write-time builds its mutations queued are done, the
+//     counters (and the accounting identity
 //     submitted == admitted + rejected, admitted == completed+shed+failed)
 //     are printed/checked. Exit 1 when the identity is violated. With
 //     --state-dir the run finishes with a durability self-test: graceful
@@ -415,6 +416,10 @@ int RunDrive(SummaryServer& server, const std::vector<std::string>& item_ids,
   }
   for (std::thread& thread : threads) thread.join();
 
+  // The counters include the write-time builds the mutations queued.
+  if (!server.WaitForWriteBuilds(60000.0)) {
+    std::fputs("osrs_serve: write-time builds still running\n", stderr);
+  }
   PrintStats(server, options.json);
   ServerCounters counters = server.counters();
   if (counters.submitted != counters.admitted + counters.rejected ||
