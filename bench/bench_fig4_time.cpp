@@ -55,7 +55,7 @@ double TimeMs(int reps, const Fn& fn) {
 
 // ---------------------------------------------------------------------------
 // Pre-PR gain kernel, reproduced faithfully: AoS edges ({int, double},
-// 16 bytes vs the SoA lanes' 8), a double best[] image, and the sequential
+// 16 bytes vs the SoA lanes' 5), a double best[] image, and the sequential
 // double accumulation the old GainOf loop performed.
 
 struct BaselineEdge {

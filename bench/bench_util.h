@@ -173,7 +173,10 @@ inline QuantitativeResults RunQuantitative(
 
   IlpSummarizer ilp;
   RandomizedRoundingSummarizer rr;
-  GreedySummarizer greedy;
+  // The paper's Algorithm 2 as written: the eager heap.
+  GreedyOptions greedy_options;
+  greedy_options.heap = GreedyOptions::Heap::kEager;
+  GreedySummarizer greedy(greedy_options);
   std::vector<Summarizer*> algorithms{&ilp, &rr, &greedy};
 
   for (SummaryGranularity granularity :

@@ -55,9 +55,12 @@ echo "== coverage-build bench smoke =="
 ./build/bench/bench_coverage_build --smoke --out=build/BENCH_coverage_smoke.json
 
 echo "== ablation bench smoke: eager vs lazy greedy, init linearity =="
-# A1 exits non-zero if the eager and lazy heaps ever disagree on cost at
-# any graph size (EXPERIMENTS.md claims identical cost); A2 checks that
-# the init-linearity sweep runs end to end and writes its report.
+# A1 exits non-zero if the eager and lazy heaps ever disagree on the
+# selection or the cost at any graph size, with continuous or with
+# quantized (tie-heavy) sentiments: both heaps break ties toward the
+# smaller id, so they must pick the same candidates (EXPERIMENTS.md). A2
+# checks that the init-linearity sweep runs end to end and writes its
+# report.
 ./build/bench/bench_ablation_greedy --smoke --out=build/BENCH_ablation_greedy_smoke.json
 ./build/bench/bench_ablation_init --smoke --out=build/BENCH_ablation_init_smoke.json
 

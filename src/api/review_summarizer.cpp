@@ -29,8 +29,6 @@ const char* SummaryAlgorithmToString(SummaryAlgorithm algorithm) {
   switch (algorithm) {
     case SummaryAlgorithm::kGreedy:
       return "Greedy";
-    case SummaryAlgorithm::kGreedyLazy:
-      return "Greedy(lazy)";
     case SummaryAlgorithm::kIlp:
       return "ILP";
     case SummaryAlgorithm::kRandomizedRounding:
@@ -43,20 +41,8 @@ const char* SummaryAlgorithmToString(SummaryAlgorithm algorithm) {
 
 namespace {
 
-/// The heap strategy of a greedy algorithm; none for the others, which
-/// solve through MakeSolver and never touch the graph's runs.
-std::optional<GreedyOptions::Heap> GreedyHeapOf(SummaryAlgorithm algorithm) {
-  switch (algorithm) {
-    case SummaryAlgorithm::kGreedy:
-      return GreedyOptions::Heap::kEager;
-    case SummaryAlgorithm::kGreedyLazy:
-      return GreedyOptions::Heap::kLazy;
-    default:
-      return std::nullopt;
-  }
-}
-
-/// The solver of a non-greedy algorithm.
+/// The solver of a non-greedy algorithm; greedy solves through the
+/// graph's run (SummaryGraph::SolveGreedy).
 std::unique_ptr<Summarizer> MakeSolver(SummaryAlgorithm algorithm,
                                        uint64_t seed) {
   switch (algorithm) {
@@ -133,42 +119,36 @@ size_t SummaryGraph::EstimateBytes() const {
       graph.target_weights_or_null() != nullptr);
 }
 
-SummaryGraph::RunSlot& SummaryGraph::SlotFor(GreedyOptions::Heap heap) const {
-  return runs_[heap == GreedyOptions::Heap::kEager ? 0 : 1];
-}
-
-int SummaryGraph::GreedyRunRounds(GreedyOptions::Heap heap) const {
-  RunSlot& slot = SlotFor(heap);
-  MutexLock lock(slot.mutex);
-  return slot.run == nullptr ? -1 : slot.run->rounds();
+int SummaryGraph::GreedyRunRounds() const {
+  MutexLock lock(slot_.mutex);
+  return slot_.run == nullptr ? -1 : slot_.run->rounds();
 }
 
 Result<SummaryResult> SummaryGraph::SolveGreedy(
-    GreedyOptions::Heap heap, int k, const ExecutionBudget& budget) const {
+    int k, const ExecutionBudget& budget) const {
   Stopwatch watch;
   obs::DeferredTraceSpan greedy_span(obs::SpanKind::kGreedy);
-  RunSlot& slot = SlotFor(heap);
   std::unique_ptr<GreedyRun> run;
   {
-    MutexLock lock(slot.mutex);
-    while (slot.extending) {
+    MutexLock lock(slot_.mutex);
+    while (slot_.extending) {
       greedy_span.Open();
-      slot.extended_cv.Wait(slot.mutex);
+      slot_.extended_cv.Wait(slot_.mutex);
     }
-    if (slot.run != nullptr && slot.run->Covers(k)) {
+    if (slot_.run != nullptr && slot_.run->Covers(k)) {
       // A pure slice: k rounds are recorded, nothing runs.
-      Result<SummaryResult> sliced = slot.run->Solve(k, budget);
+      Result<SummaryResult> sliced = slot_.run->Solve(k, budget);
       if (sliced.ok()) sliced->seconds = watch.ElapsedSeconds();
       return sliced;
     }
-    slot.extending = true;
-    run = std::move(slot.run);
+    slot_.extending = true;
+    run = std::move(slot_.run);
   }
   greedy_span.Open();
   // Starting and extending run outside the lock; until the run is back in
-  // the slot, other solves of this heap wait on `extending`. The guard
-  // hands the run back however this call ends, except when the init or a
-  // round throws: then the run is dropped, so the state the interrupted
+  // the slot, other greedy solves wait on `extending`. The guard hands the
+  // run back however this call ends, except when the init or a round
+  // throws: then the run is dropped, so the state the interrupted
   // work left is never read and the next solve starts a new run. A run
   // whose init failed is null, which also leaves the slot empty.
   class SlotRelease {
@@ -191,11 +171,12 @@ Result<SummaryResult> SummaryGraph::SolveGreedy(
     RunSlot& slot_;
     std::unique_ptr<GreedyRun>& run_;
     const int exceptions_ = std::uncaught_exceptions();
-  } release(slot, run);
+  } release(slot_, run);
 
   if (run == nullptr) {
     Result<std::unique_ptr<GreedyRun>> started =
-        GreedyRun::Start(item_graph.graph, heap, budget);
+        GreedyRun::Start(item_graph.graph, GreedyOptions::Heap::kLazy,
+                         budget);
     OSRS_RETURN_IF_ERROR(started.status());
     run = std::move(started).value();
     obs::TraceStat(obs::Stat::kGreedyRunStarts, 1);
@@ -325,10 +306,8 @@ Result<std::shared_ptr<const SummaryGraph>> ReviewSummarizer::BuildGraph(
 
 Status ReviewSummarizer::StartGreedyRun(const SummaryGraph& graph,
                                         const ExecutionBudget& budget) const {
-  const std::optional<GreedyOptions::Heap> heap =
-      GreedyHeapOf(options_.algorithm);
-  if (!heap.has_value()) return Status::OK();
-  return graph.SolveGreedy(*heap, 0, budget).status();
+  if (options_.algorithm != SummaryAlgorithm::kGreedy) return Status::OK();
+  return graph.SolveGreedy(0, budget).status();
 }
 
 Result<ItemSummary> ReviewSummarizer::Summarize(
@@ -410,11 +389,9 @@ Result<ItemSummary> ReviewSummarizer::Summarize(
     // Greedy answers from the graph's run, so a greedy fallback after a
     // budget-tripped greedy primary continues that run instead of redoing
     // the heap init.
-    const std::optional<GreedyOptions::Heap> heap =
-        GreedyHeapOf(attempts[attempt]);
     Result<SummaryResult> attempt_result =
-        heap.has_value()
-            ? summary_graph->SolveGreedy(*heap, effective_k, attempt_budget)
+        attempts[attempt] == SummaryAlgorithm::kGreedy
+            ? summary_graph->SolveGreedy(effective_k, attempt_budget)
             : MakeSolver(attempts[attempt], options_.seed + attempt)
                   ->Summarize(item_graph.graph, effective_k, attempt_budget);
     if (attempt_result.ok()) {

@@ -60,8 +60,8 @@ class CorpusEpoch {
 
 /// Which §4 algorithm the facade runs.
 enum class SummaryAlgorithm {
-  kGreedy,              // Algorithm 2 (the paper's recommended default)
-  kGreedyLazy,          // lazy-heap variant, same guarantee
+  kGreedy,              // Algorithm 2 (the paper's recommended default),
+                        // solved with the lazy heap
   kIlp,                 // exact §4.2 (bundled branch-and-bound)
   kRandomizedRounding,  // Algorithm 1 over the LP relaxation
   kLocalSearch,         // greedy + swap polish (extension, see solver/)
@@ -111,8 +111,8 @@ struct ReviewSummarizerOptions {
   /// along `fallback_chain` instead of failing (see below).
   double deadline_ms = 0.0;
   /// Deterministic work budget per solve attempt (same solver-defined unit
-  /// as SummaryResult::work: B&B nodes, simplex iterations, greedy key
-  /// updates, ...); <= 0 means unlimited. Unlike the wall-clock deadline
+  /// as SummaryResult::work: B&B nodes, simplex iterations, greedy gain
+  /// recomputes, ...); <= 0 means unlimited. Unlike the wall-clock deadline
   /// this is reproducible, so tests can exercise degradation
   /// deterministically.
   int64_t max_solver_work = 0;
@@ -245,16 +245,16 @@ struct ItemSummary {
 /// only on the item, ε and the granularity, so one graph serves every k
 /// (SummaryServer shares it across the requests for one item version).
 ///
-/// Immutable once built, except for its run slot: one resumable GreedyRun
-/// per heap strategy (solver/greedy.h). The first greedy solve on the
-/// graph starts the run, and later ones extend it only as far as the
-/// largest k asked for. Every greedy attempt the facade makes on the graph
-/// with that heap strategy answers from the run, primary and fallback
-/// alike: it slices the run when it is long enough, and otherwise extends
-/// it under its own budget. A slice replays the budget checks of the
-/// rounds it returns, so every answer equals a cold solve bit for bit. A
-/// run is tiny next to its graph (a few bytes per target, per candidate
-/// and per round; see GreedyRun) and shares the graph's lifetime.
+/// Immutable once built, except for its run slot: one resumable lazy-heap
+/// GreedyRun (solver/greedy.h). The first greedy solve on the graph starts
+/// the run, and later ones extend it only as far as the largest k asked
+/// for. Every greedy attempt the facade makes on the graph answers from
+/// the run, primary and fallback alike: it slices the run when it is long
+/// enough, and otherwise extends it under its own budget. A slice replays
+/// the budget checks of the rounds it returns, so every answer equals a
+/// cold solve bit for bit. A run is tiny next to its graph (a few bytes
+/// per target, per candidate and per round; see GreedyRun) and shares the
+/// graph's lifetime.
 /// Concurrent solves may use the graph; the slot serializes the ones that
 /// extend a run.
 class SummaryGraph {
@@ -270,26 +270,24 @@ class SummaryGraph {
   const ItemGraph item_graph;
 
   /// CoverageGraph::EstimateBytes of the graph: the heap bytes of its CSR
-  /// lanes, offsets and root distances. The runs are not counted, so the
+  /// lanes, offsets and root distances. The run is not counted, so the
   /// figure is fixed from the build on.
   size_t EstimateBytes() const;
 
-  /// A greedy solve of k (in [0, num_candidates]) with `heap` under
-  /// `budget`, answered from the graph's run for that heap: GreedyRun::
-  /// Solve on it, after waiting for any other solve extending it. The run
-  /// stays at its last whole round when a budget, the "osrs.solver.step"
-  /// failpoint or cancellation interrupts a round. An exception thrown by
-  /// the init or a round, or a budget trip during the init, leaves the
-  /// slot empty, so the next solve starts a new run. On the installed
-  /// trace it records a "greedy" span when it waits on, starts or extends
-  /// the run (none for a pure slice), and counts a completed start in
-  /// greedy_run_starts and the rounds it ran in greedy_run_rounds.
-  /// `seconds` of the result covers the whole call.
-  Result<SummaryResult> SolveGreedy(GreedyOptions::Heap heap, int k,
-                                    const ExecutionBudget& budget) const;
+  /// A greedy solve of k (in [0, num_candidates]) under `budget`, answered
+  /// from the graph's run: GreedyRun::Solve on it, after waiting for any
+  /// other solve extending it. The run stays at its last whole round when
+  /// a budget, the "osrs.solver.step" failpoint or cancellation interrupts
+  /// a round. An exception thrown by the init or a round, or a budget trip
+  /// during the init, leaves the slot empty, so the next solve starts a
+  /// new run. On the installed trace it records a "greedy" span when it
+  /// waits on, starts or extends the run (none for a pure slice), and
+  /// counts a completed start in greedy_run_starts and the rounds it ran
+  /// in greedy_run_rounds. `seconds` of the result covers the whole call.
+  Result<SummaryResult> SolveGreedy(int k, const ExecutionBudget& budget) const;
 
-  /// Rounds recorded by the run for `heap`; -1 while its slot is empty.
-  int GreedyRunRounds(GreedyOptions::Heap heap) const;
+  /// Rounds recorded by the run; -1 while its slot is empty.
+  int GreedyRunRounds() const;
 
  private:
   struct RunSlot {
@@ -301,9 +299,7 @@ class SummaryGraph {
     std::unique_ptr<GreedyRun> run OSRS_GUARDED_BY(mutex);
   };
 
-  RunSlot& SlotFor(GreedyOptions::Heap heap) const;
-
-  mutable RunSlot runs_[2];
+  mutable RunSlot slot_;
 };
 
 /// The library's top-level entry point: reviews of one item in, the k most
@@ -367,9 +363,9 @@ class ReviewSummarizer {
   Result<std::shared_ptr<const SummaryGraph>> BuildGraph(const Item& item,
                                                          int k) const;
 
-  /// Starts `graph`'s greedy run for the configured algorithm's heap with
-  /// zero rounds (SummaryGraph::SolveGreedy at k = 0): the heap init alone,
-  /// so that later solves on the graph only slice or extend the run. OK
+  /// Starts `graph`'s greedy run with zero rounds (SummaryGraph::
+  /// SolveGreedy at k = 0): the heap init alone, so that later solves on
+  /// the graph only slice or extend the run. OK
   /// with nothing run when the run has already started or the configured
   /// algorithm is not greedy. Fails as the init does (a budget trip,
   /// cancellation), which leaves the run slot empty.

@@ -15,10 +15,10 @@ namespace internal {
 // Defined in simd_avx2.cpp, the only TU compiled with -mavx2. Keeping the
 // intrinsics in their own TU means no AVX2 instruction can leak into code
 // that runs before the cpuid dispatch.
-double GainReduceAvx2(const int32_t* endpoints, const float* distances,
+double GainReduceAvx2(const int32_t* endpoints, const uint8_t* distances,
                       size_t n, const float* best,
                       const double* target_weights);
-double ApplyPickMinAvx2(const int32_t* endpoints, const float* distances,
+double ApplyPickMinAvx2(const int32_t* endpoints, const uint8_t* distances,
                         size_t n, float* best, const double* target_weights);
 #endif
 }  // namespace internal
@@ -74,8 +74,8 @@ void ResetBackendOverride() {
   g_forced_backend.store(-1, std::memory_order_relaxed);
 }
 
-double GainReduce(const int32_t* endpoints, const float* distances, size_t n,
-                  const float* best, const double* target_weights) {
+double GainReduce(const int32_t* endpoints, const uint8_t* distances,
+                  size_t n, const float* best, const double* target_weights) {
 #if OSRS_SIMD_ENABLED
   if (ActiveBackend() == Backend::kAvx2) {
     return internal::GainReduceAvx2(endpoints, distances, n, best,
@@ -86,7 +86,7 @@ double GainReduce(const int32_t* endpoints, const float* distances, size_t n,
                                                    best, target_weights);
 }
 
-double ApplyPickMin(const int32_t* endpoints, const float* distances,
+double ApplyPickMin(const int32_t* endpoints, const uint8_t* distances,
                     size_t n, float* best, const double* target_weights) {
 #if OSRS_SIMD_ENABLED
   if (ActiveBackend() == Backend::kAvx2) {

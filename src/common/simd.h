@@ -52,10 +52,11 @@ inline constexpr int kAccumulatorLanes = 8;
 
 /// K1 — greedy marginal-gain kernel over one SoA CSR row:
 ///   Σ_i max(0, best[endpoints[i]] − distances[i]) · tw[endpoints[i]]
-/// The improvement is one float subtraction (exact: coverage distances
-/// are integral hop counts), widened to double, then weighted by the
-/// double multiplicity lane. `target_weights` may be null (all ones).
-double GainReduce(const int32_t* endpoints, const float* distances,
+/// The distances are the graph's one-byte lane, converted to float
+/// exactly; the improvement is one float subtraction (exact: coverage
+/// distances are integral hop counts), widened to double, then weighted by
+/// the double multiplicity lane. `target_weights` may be null (all ones).
+double GainReduce(const int32_t* endpoints, const uint8_t* distances,
                   size_t n, const float* best,
                   const double* target_weights);
 
@@ -63,7 +64,7 @@ double GainReduce(const int32_t* endpoints, const float* distances,
 /// edge with distances[i] < best[endpoints[i]], stores the new minimum
 /// and accumulates (old − new) · tw into the returned cost decrease.
 /// Endpoints within the row must be unique (CSR rows are).
-double ApplyPickMin(const int32_t* endpoints, const float* distances,
+double ApplyPickMin(const int32_t* endpoints, const uint8_t* distances,
                     size_t n, float* best, const double* target_weights);
 
 }  // namespace osrs::simd

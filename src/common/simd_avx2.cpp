@@ -5,6 +5,7 @@
 // instruction executes before the cpuid check passes.
 //
 // Every op maps 1:1 onto a ScalarOps op with identical IEEE semantics:
+// cvtepu8_epi32 + cvtepi32_ps ↔ the exact byte-to-float conversion,
 // sub_ps ↔ per-lane float subtraction, cvtps_pd ↔ exact widening,
 // and_pd with a compare mask ↔ the ternary in ScalarOps::MaskPositive
 // (an all-ones mask ANDed with a double reproduces its bits exactly;
@@ -28,6 +29,11 @@ struct Avx2Ops {
   using F64 = __m256d;
 
   static F32 LoadF32(const float* p) { return _mm256_loadu_ps(p); }
+  static F32 LoadU8AsF32(const uint8_t* p) {
+    // 8 bytes → 8 zero-extended int32 → 8 floats; exact for 0..255.
+    const __m128i bytes = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
+    return _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(bytes));
+  }
   static I32 LoadI32(const int32_t* p) {
     return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
   }
@@ -78,14 +84,14 @@ struct Avx2Ops {
 
 }  // namespace
 
-double GainReduceAvx2(const int32_t* endpoints, const float* distances,
+double GainReduceAvx2(const int32_t* endpoints, const uint8_t* distances,
                       size_t n, const float* best,
                       const double* target_weights) {
   return detail::GainReduceImpl<Avx2Ops>(endpoints, distances, n, best,
                                          target_weights);
 }
 
-double ApplyPickMinAvx2(const int32_t* endpoints, const float* distances,
+double ApplyPickMinAvx2(const int32_t* endpoints, const uint8_t* distances,
                         size_t n, float* best, const double* target_weights) {
   return detail::ApplyPickMinImpl<Avx2Ops>(endpoints, distances, n, best,
                                            target_weights);

@@ -11,6 +11,8 @@
 // tolerance (proven by tests/solver_simd_diff_test.cpp).
 //
 // The accumulation-order contract (documented in DESIGN.md):
+//   - distances arrive as the graph's one-byte lane and are converted to
+//     float exactly (every value 0..255 is representable);
 //   - element i contributes to accumulator stripe i % 8 (stripes 0-3 in
 //     the "lo" register, 4-7 in "hi");
 //   - a contribution is double(float(best - d)) [· tw], i.e. the
@@ -18,8 +20,8 @@
 //     then multiplied by the double multiplicity in one double rounding —
 //     no FMA anywhere, so scalar mul+add matches the vector path;
 //   - stripes reduce as ((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7));
-//   - short tails are padded to a full 8-lane chunk with distance +inf
-//     (a padded lane's improvement is -inf, masked to a zero
+//   - short tails are padded to a full 8-lane chunk with float distance
+//     +inf (a padded lane's improvement is -inf, masked to a zero
 //     contribution) and endpoint 0 (a harmless in-bounds gather).
 
 #include <bit>
@@ -47,6 +49,11 @@ struct ScalarOps {
   static F32 LoadF32(const float* p) {
     F32 r;
     for (int j = 0; j < 8; ++j) r.v[j] = p[j];
+    return r;
+  }
+  static F32 LoadU8AsF32(const uint8_t* p) {
+    F32 r;
+    for (int j = 0; j < 8; ++j) r.v[j] = static_cast<float>(p[j]);
     return r;
   }
   static I32 LoadI32(const int32_t* p) {
@@ -117,38 +124,66 @@ struct ScalarOps {
   }
 };
 
+/// Calls `step(e8, d8, d)` once per 8-lane chunk of a SoA CSR row: `e8`
+/// and `d8` point at the chunk's endpoints and byte distances, `d` holds
+/// the distances as floats. The tail chunk runs on padded copies:
+/// endpoint 0, byte 0 and float distance +inf in the padded lanes.
+template <typename Ops, typename Step>
+void ForEachChunk(const int32_t* endpoints, const uint8_t* distances,
+                  size_t n, const Step& step) {
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    step(endpoints + i, distances + i, Ops::LoadU8AsF32(distances + i));
+  }
+  if (i < n) {
+    alignas(64) int32_t ep_pad[8];
+    alignas(64) uint8_t d8_pad[8];
+    alignas(64) float d_pad[8];
+    for (size_t j = 0; j < 8; ++j) {
+      const bool live = i + j < n;
+      ep_pad[j] = live ? endpoints[i + j] : 0;
+      d8_pad[j] = live ? distances[i + j] : uint8_t{0};
+      d_pad[j] = live ? static_cast<float>(distances[i + j])
+                      : std::numeric_limits<float>::infinity();
+    }
+    step(ep_pad, d8_pad, Ops::LoadF32(d_pad));
+  }
+}
+
+/// Adds chunk `e8`'s contributions Σ max(0, best − d) [· tw] to the two
+/// stripe accumulators and returns the float improvements best − d.
+template <typename Ops>
+typename Ops::F32 AccumulateImprovement(const int32_t* e8,
+                                        typename Ops::F32 d,
+                                        const float* best, const double* tw,
+                                        typename Ops::F64& acc_lo,
+                                        typename Ops::F64& acc_hi) {
+  typename Ops::I32 idx = Ops::LoadI32(e8);
+  typename Ops::F32 imp = Ops::SubF32(Ops::GatherF32(best, idx), d);
+  typename Ops::F64 lo = Ops::WidenLo(imp);
+  typename Ops::F64 hi = Ops::WidenHi(imp);
+  typename Ops::F64 vlo =
+      tw != nullptr ? Ops::MulF64(lo, Ops::GatherF64Lo(tw, idx)) : lo;
+  typename Ops::F64 vhi =
+      tw != nullptr ? Ops::MulF64(hi, Ops::GatherF64Hi(tw, idx)) : hi;
+  acc_lo = Ops::AddF64(acc_lo, Ops::MaskPositive(vlo, lo));
+  acc_hi = Ops::AddF64(acc_hi, Ops::MaskPositive(vhi, hi));
+  return imp;
+}
+
 /// K1 — marginal-gain reduction over one SoA CSR row. See the contract in
 /// the file comment; `tw` may be null (all multiplicities 1).
 template <typename Ops>
-double GainReduceImpl(const int32_t* endpoints, const float* distances,
+double GainReduceImpl(const int32_t* endpoints, const uint8_t* distances,
                       size_t n, const float* best, const double* tw) {
   typename Ops::F64 acc_lo = Ops::ZeroF64();
   typename Ops::F64 acc_hi = Ops::ZeroF64();
-  auto step = [&](const int32_t* e8, const float* d8) {
-    typename Ops::I32 idx = Ops::LoadI32(e8);
-    typename Ops::F32 d = Ops::LoadF32(d8);
-    typename Ops::F32 imp = Ops::SubF32(Ops::GatherF32(best, idx), d);
-    typename Ops::F64 lo = Ops::WidenLo(imp);
-    typename Ops::F64 hi = Ops::WidenHi(imp);
-    typename Ops::F64 vlo =
-        tw != nullptr ? Ops::MulF64(lo, Ops::GatherF64Lo(tw, idx)) : lo;
-    typename Ops::F64 vhi =
-        tw != nullptr ? Ops::MulF64(hi, Ops::GatherF64Hi(tw, idx)) : hi;
-    acc_lo = Ops::AddF64(acc_lo, Ops::MaskPositive(vlo, lo));
-    acc_hi = Ops::AddF64(acc_hi, Ops::MaskPositive(vhi, hi));
-  };
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) step(endpoints + i, distances + i);
-  if (i < n) {
-    alignas(64) int32_t ep_pad[8];
-    alignas(64) float d_pad[8];
-    for (size_t j = 0; j < 8; ++j) {
-      ep_pad[j] = i + j < n ? endpoints[i + j] : 0;
-      d_pad[j] = i + j < n ? distances[i + j]
-                           : std::numeric_limits<float>::infinity();
-    }
-    step(ep_pad, d_pad);
-  }
+  ForEachChunk<Ops>(endpoints, distances, n,
+                    [&](const int32_t* e8, const uint8_t*,
+                        typename Ops::F32 d) {
+                      AccumulateImprovement<Ops>(e8, d, best, tw, acc_lo,
+                                                 acc_hi);
+                    });
   return Ops::ReduceTree(acc_lo, acc_hi);
 }
 
@@ -156,44 +191,26 @@ double GainReduceImpl(const int32_t* endpoints, const float* distances,
 /// unique (CSR construction guarantees it), so the gather-before-store
 /// inside one chunk can never observe a stale lane.
 template <typename Ops>
-double ApplyPickMinImpl(const int32_t* endpoints, const float* distances,
+double ApplyPickMinImpl(const int32_t* endpoints, const uint8_t* distances,
                         size_t n, float* best, const double* tw) {
   typename Ops::F64 acc_lo = Ops::ZeroF64();
   typename Ops::F64 acc_hi = Ops::ZeroF64();
-  auto step = [&](const int32_t* e8, const float* d8) {
-    typename Ops::I32 idx = Ops::LoadI32(e8);
-    typename Ops::F32 d = Ops::LoadF32(d8);
-    typename Ops::F32 imp = Ops::SubF32(Ops::GatherF32(best, idx), d);
-    typename Ops::F64 lo = Ops::WidenLo(imp);
-    typename Ops::F64 hi = Ops::WidenHi(imp);
-    typename Ops::F64 vlo =
-        tw != nullptr ? Ops::MulF64(lo, Ops::GatherF64Lo(tw, idx)) : lo;
-    typename Ops::F64 vhi =
-        tw != nullptr ? Ops::MulF64(hi, Ops::GatherF64Hi(tw, idx)) : hi;
-    acc_lo = Ops::AddF64(acc_lo, Ops::MaskPositive(vlo, lo));
-    acc_hi = Ops::AddF64(acc_hi, Ops::MaskPositive(vhi, hi));
-    // d < best[w]  ⇔  best[w] - d > 0 for finite floats (a subtraction of
-    // distinct finite values is never exactly zero), so the store mask can
-    // reuse the improvement sign.
-    int m = Ops::PositiveMask8(imp);
-    while (m != 0) {
-      int lane = std::countr_zero(static_cast<unsigned>(m));
-      best[e8[lane]] = d8[lane];
-      m &= m - 1;
-    }
-  };
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) step(endpoints + i, distances + i);
-  if (i < n) {
-    alignas(64) int32_t ep_pad[8];
-    alignas(64) float d_pad[8];
-    for (size_t j = 0; j < 8; ++j) {
-      ep_pad[j] = i + j < n ? endpoints[i + j] : 0;
-      d_pad[j] = i + j < n ? distances[i + j]
-                           : std::numeric_limits<float>::infinity();
-    }
-    step(ep_pad, d_pad);
-  }
+  ForEachChunk<Ops>(
+      endpoints, distances, n,
+      [&](const int32_t* e8, const uint8_t* d8, typename Ops::F32 d) {
+        typename Ops::F32 imp =
+            AccumulateImprovement<Ops>(e8, d, best, tw, acc_lo, acc_hi);
+        // d < best[w]  ⇔  best[w] - d > 0 for finite floats (a subtraction
+        // of distinct finite values is never exactly zero), so the store
+        // mask can reuse the improvement sign. Padded lanes (d = +inf)
+        // never pass it.
+        int m = Ops::PositiveMask8(imp);
+        while (m != 0) {
+          int lane = std::countr_zero(static_cast<unsigned>(m));
+          best[e8[lane]] = static_cast<float>(d8[lane]);
+          m &= m - 1;
+        }
+      });
   return Ops::ReduceTree(acc_lo, acc_hi);
 }
 

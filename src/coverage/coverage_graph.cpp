@@ -107,8 +107,10 @@ ConceptBuckets BucketByConcept(const Ontology& onto,
 /// `s ± eps` can never exclude a candidate; the exact Definition 1
 /// predicate `|s1 - s2| <= eps` then decides inside the window, keeping
 /// the emitted edge set bit-identical to a full-scan builder. Calls
-/// `emit(u_pair_index, w, weight)` once per covering (pair, target)
-/// combination, with w ascending. Returns the number of edges emitted.
+/// `emit(u_pair_index, w, distance)` once per covering (pair, target)
+/// combination, with w ascending; the distance is the ancestor's hop count
+/// as a byte (CheckDistanceBound has run). Returns the number of edges
+/// emitted.
 template <typename EmitFn>
 size_t ForEachCoveringPairInRange(const PairDistance& distance,
                                   const std::vector<ConceptSentimentPair>& pairs,
@@ -128,7 +130,7 @@ size_t ForEachCoveringPairInRange(const PairDistance& distance,
       int32_t b =
           buckets.bucket_of_concept[static_cast<size_t>(ancestor.concept_id)];
       if (b < 0) continue;
-      const double weight = static_cast<double>(ancestor.distance);
+      const uint8_t hops = static_cast<uint8_t>(ancestor.distance);
       size_t begin = buckets.offsets[static_cast<size_t>(b)];
       size_t end = buckets.offsets[static_cast<size_t>(b) + 1];
       if (ancestor.concept_id != root) {
@@ -144,13 +146,13 @@ size_t ForEachCoveringPairInRange(const PairDistance& distance,
           if (std::abs(buckets.sentiments[i] - target.sentiment) > eps) {
             continue;
           }
-          emit(buckets.pair_indices[i], w, weight);
+          emit(buckets.pair_indices[i], w, hops);
           ++emitted;
         }
       } else {
         // The root covers every pair regardless of sentiment.
         for (size_t i = begin; i < end; ++i) {
-          emit(buckets.pair_indices[i], w, weight);
+          emit(buckets.pair_indices[i], w, hops);
           ++emitted;
         }
       }
@@ -257,19 +259,40 @@ Status CheckMemoryBudget(const CoverageBuildOptions& options, size_t num_edges,
       options.max_memory_bytes));
 }
 
+/// The byte distance lane holds every edge distance only when no
+/// ancestor-closure distance exceeds kMaxEdgeDistance. Checked once per
+/// build against the ontology's precomputed maximum, before any
+/// allocation, rather than per emitted edge.
+Status CheckDistanceBound(const PairDistance& distance) {
+  const int max_distance = distance.ontology().max_ancestor_distance();
+  if (max_distance <= CoverageGraph::kMaxEdgeDistance) return Status::OK();
+  return Status::InvalidArgument(StrFormat(
+      "ontology has an ancestor %d hops above a concept; coverage graph "
+      "distances are stored in one byte (at most %d)",
+      max_distance, CoverageGraph::kMaxEdgeDistance));
+}
+
 }  // namespace
 
 size_t CoverageGraph::EstimateBytes(size_t num_edges, size_t num_candidates,
                                     size_t num_targets, bool weighted) {
-  // Both CSR directions as SoA lanes (endpoint int32 + distance float per
-  // edge — byte-identical to the former 8-byte Edge struct), both offset
-  // arrays, root distances in double and in the float kernel lane, and
-  // (when built weighted) the multiplicity array.
-  size_t bytes = 2 * num_edges * (sizeof(int32_t) + sizeof(float));
-  bytes += (num_candidates + 1 + num_targets + 1) * sizeof(size_t);
+  // The forward CSR's SoA lanes (int32 endpoint + one-byte distance per
+  // edge) and offsets, root distances in double and in the float kernel
+  // lane, and (when built weighted) the multiplicity array.
+  size_t bytes = num_edges * (sizeof(int32_t) + sizeof(uint8_t));
+  bytes += (num_candidates + 1) * sizeof(size_t);
   bytes += num_targets * (sizeof(double) + sizeof(float));
   if (weighted) bytes += num_targets * sizeof(double);
   return bytes;
+}
+
+size_t CoverageGraph::MemoryBytes() const {
+  return forward_offsets_.capacity() * sizeof(size_t) +
+         forward_endpoint_.capacity() * sizeof(int32_t) +
+         forward_distance_.capacity() * sizeof(uint8_t) +
+         root_distance_.capacity() * sizeof(double) +
+         root_distance_f32_.capacity() * sizeof(float) +
+         target_weights_.capacity() * sizeof(double);
 }
 
 Result<CoverageGraph> CoverageGraph::BuildForPairsImpl(
@@ -277,6 +300,7 @@ Result<CoverageGraph> CoverageGraph::BuildForPairsImpl(
     const std::vector<ConceptSentimentPair>& pairs,
     const CoverageBuildOptions& options, bool weighted) {
   obs::TraceSpan build_span(obs::SpanKind::kBuildCoverageGraph);
+  OSRS_RETURN_IF_ERROR(CheckDistanceBound(distance));
   const ConceptBuckets buckets = BucketByConcept(distance.ontology(), pairs);
   const int num_targets = static_cast<int>(pairs.size());
   const int num_candidates = num_targets;
@@ -284,20 +308,17 @@ Result<CoverageGraph> CoverageGraph::BuildForPairsImpl(
 
   // Counting pass: the full closure/window enumeration with degrees as the
   // only output. Nothing is materialized, so the pass reads only the hot
-  // bucket arrays. Per-target backward degrees are shared but race-free —
-  // each target belongs to exactly one shard.
+  // bucket arrays.
   std::vector<std::vector<size_t>> shard_degree(
       static_cast<size_t>(num_shards));
-  std::vector<size_t> backward_degree(static_cast<size_t>(num_targets), 0);
   std::vector<size_t> emitted = RunSharded(
       num_targets, num_shards, [&](int shard, int w_begin, int w_end) {
         std::vector<size_t>& degree = shard_degree[static_cast<size_t>(shard)];
         degree.assign(static_cast<size_t>(num_candidates), 0);
         return ForEachCoveringPairInRange(
             distance, pairs, buckets, w_begin, w_end,
-            [&](int u, int w, double /*weight*/) {
+            [&](int u, int /*w*/, uint8_t /*hops*/) {
               ++degree[static_cast<size_t>(u)];
-              ++backward_degree[static_cast<size_t>(w)];
             });
       });
   RecordBuildTelemetry(emitted);
@@ -307,39 +328,25 @@ Result<CoverageGraph> CoverageGraph::BuildForPairsImpl(
       weighted));
 
   // Scatter pass: re-run the same enumeration, writing every edge straight
-  // into both final CSR slots. Forward rows fill through per-(shard,
-  // candidate) cursors over disjoint slices — each shard emits ascending
-  // targets, so rows come out sorted with no intermediate buffers and no
-  // sort. Backward rows fill through one sequential per-shard cursor:
-  // target w's coverers are emitted consecutively and targets ascend, so
-  // the backward CSR needs no transpose pass at all.
+  // into its final CSR slot through per-(shard, candidate) cursors over
+  // disjoint slices — each shard emits ascending targets, so rows come out
+  // sorted with no intermediate buffers and no sort.
   CoverageGraph graph;
   graph.root_distance_ = RootDistances(distance, pairs);
   graph.root_distance_f32_.assign(graph.root_distance_.begin(),
                                   graph.root_distance_.end());
   graph.PrepareForwardScatter(num_candidates, shard_degree);
-  graph.PrepareBackwardFill(num_targets, backward_degree);
   RunSharded(num_targets, num_shards,
              [&](int shard, int w_begin, int w_end) {
                std::vector<size_t>& cursor =
                    shard_degree[static_cast<size_t>(shard)];
-               size_t backward_cursor =
-                   graph.backward_offsets_[static_cast<size_t>(w_begin)];
-               size_t shard_emitted = ForEachCoveringPairInRange(
+               return ForEachCoveringPairInRange(
                    distance, pairs, buckets, w_begin, w_end,
-                   [&](int u, int w, double weight) {
-                     const float fw = static_cast<float>(weight);
-                     const size_t fslot = cursor[static_cast<size_t>(u)]++;
-                     graph.forward_endpoint_[fslot] = w;
-                     graph.forward_distance_[fslot] = fw;
-                     graph.backward_endpoint_[backward_cursor] = u;
-                     graph.backward_distance_[backward_cursor] = fw;
-                     ++backward_cursor;
+                   [&](int u, int w, uint8_t hops) {
+                     const size_t slot = cursor[static_cast<size_t>(u)]++;
+                     graph.forward_endpoint_[slot] = w;
+                     graph.forward_distance_[slot] = hops;
                    });
-               OSRS_DCHECK_EQ(
-                   backward_cursor,
-                   graph.backward_offsets_[static_cast<size_t>(w_end)]);
-               return shard_emitted;
              });
   obs::TraceStat(obs::Stat::kGraphEdgesBuilt,
                  static_cast<int64_t>(graph.num_edges()));
@@ -436,6 +443,7 @@ Result<CoverageGraph> CoverageGraph::BuildForGroupsImpl(
     const std::vector<std::vector<int>>& groups,
     const CoverageBuildOptions& options) {
   obs::TraceSpan build_span(obs::SpanKind::kBuildCoverageGraph);
+  OSRS_RETURN_IF_ERROR(CheckDistanceBound(distance));
   // Map each pair index to its owning group (a pair belongs to exactly one
   // sentence / review).
   std::vector<int> group_of(pairs.size(), -1);
@@ -462,7 +470,6 @@ Result<CoverageGraph> CoverageGraph::BuildForGroupsImpl(
   // state dedupe needs.
   std::vector<std::vector<size_t>> shard_degree(
       static_cast<size_t>(num_shards));
-  std::vector<size_t> backward_degree(static_cast<size_t>(num_targets), 0);
   std::vector<size_t> emitted = RunSharded(
       num_targets, num_shards, [&](int shard, int w_begin, int w_end) {
         std::vector<size_t>& degree = shard_degree[static_cast<size_t>(shard)];
@@ -470,13 +477,12 @@ Result<CoverageGraph> CoverageGraph::BuildForGroupsImpl(
         std::vector<int> last_target(groups.size(), -1);
         return ForEachCoveringPairInRange(
             distance, pairs, buckets, w_begin, w_end,
-            [&](int u, int w, double /*weight*/) {
+            [&](int u, int w, uint8_t /*hops*/) {
               int g = group_of[static_cast<size_t>(u)];
               if (g < 0) return;  // pair not part of any candidate group
               if (last_target[static_cast<size_t>(g)] == w) return;
               last_target[static_cast<size_t>(g)] = w;
               ++degree[static_cast<size_t>(g)];
-              ++backward_degree[static_cast<size_t>(w)];
             });
       });
   RecordBuildTelemetry(emitted);
@@ -486,54 +492,36 @@ Result<CoverageGraph> CoverageGraph::BuildForGroupsImpl(
       /*weighted=*/false));
 
   // Scatter pass: identical enumeration; a repeat (group, target) emit
-  // min-merges its weight into the forward and backward slots recorded by
-  // last_findex/last_bindex instead of consuming new ones, keeping
-  // Definition 2's minimum over member pairs in both CSR copies.
+  // min-merges its distance into the slot recorded by last_slot instead of
+  // consuming a new one, keeping Definition 2's minimum over member pairs.
   CoverageGraph graph;
   graph.root_distance_ = RootDistances(distance, pairs);
   graph.root_distance_f32_.assign(graph.root_distance_.begin(),
                                   graph.root_distance_.end());
   graph.PrepareForwardScatter(num_candidates, shard_degree);
-  graph.PrepareBackwardFill(num_targets, backward_degree);
   RunSharded(
       num_targets, num_shards, [&](int shard, int w_begin, int w_end) {
         std::vector<size_t>& cursor =
             shard_degree[static_cast<size_t>(shard)];
-        size_t backward_cursor =
-            graph.backward_offsets_[static_cast<size_t>(w_begin)];
         std::vector<int> last_target(groups.size(), -1);
-        std::vector<size_t> last_findex(groups.size(), 0);
-        std::vector<size_t> last_bindex(groups.size(), 0);
-        size_t shard_emitted = ForEachCoveringPairInRange(
+        std::vector<size_t> last_slot(groups.size(), 0);
+        return ForEachCoveringPairInRange(
             distance, pairs, buckets, w_begin, w_end,
-            [&](int u, int w, double weight) {
+            [&](int u, int w, uint8_t hops) {
               int g = group_of[static_cast<size_t>(u)];
               if (g < 0) return;
-              const float fw = static_cast<float>(weight);
               if (last_target[static_cast<size_t>(g)] == w) {
-                float& forward_distance =
-                    graph.forward_distance_[last_findex[static_cast<size_t>(g)]];
-                if (fw < forward_distance) {
-                  forward_distance = fw;
-                  graph.backward_distance_[last_bindex[static_cast<size_t>(g)]] =
-                      fw;
-                }
+                uint8_t& slot_distance =
+                    graph.forward_distance_[last_slot[static_cast<size_t>(g)]];
+                slot_distance = std::min(slot_distance, hops);
               } else {
                 last_target[static_cast<size_t>(g)] = w;
-                const size_t fslot = cursor[static_cast<size_t>(g)];
-                last_findex[static_cast<size_t>(g)] = fslot;
-                last_bindex[static_cast<size_t>(g)] = backward_cursor;
-                graph.forward_endpoint_[fslot] = w;
-                graph.forward_distance_[fslot] = fw;
-                ++cursor[static_cast<size_t>(g)];
-                graph.backward_endpoint_[backward_cursor] = g;
-                graph.backward_distance_[backward_cursor] = fw;
-                ++backward_cursor;
+                const size_t slot = cursor[static_cast<size_t>(g)]++;
+                last_slot[static_cast<size_t>(g)] = slot;
+                graph.forward_endpoint_[slot] = w;
+                graph.forward_distance_[slot] = hops;
               }
             });
-        OSRS_DCHECK_EQ(backward_cursor,
-                       graph.backward_offsets_[static_cast<size_t>(w_end)]);
-        return shard_emitted;
       });
   obs::TraceStat(obs::Stat::kGraphEdgesBuilt,
                  static_cast<int64_t>(graph.num_edges()));
@@ -572,20 +560,6 @@ void CoverageGraph::PrepareForwardScatter(
   forward_distance_.resize(running);
 }
 
-void CoverageGraph::PrepareBackwardFill(
-    int num_targets, const std::vector<size_t>& backward_degree) {
-  backward_offsets_.assign(static_cast<size_t>(num_targets) + 1, 0);
-  for (int w = 0; w < num_targets; ++w) {
-    backward_offsets_[static_cast<size_t>(w) + 1] =
-        backward_offsets_[static_cast<size_t>(w)] +
-        backward_degree[static_cast<size_t>(w)];
-  }
-  OSRS_CHECK_EQ(backward_offsets_[static_cast<size_t>(num_targets)],
-                forward_endpoint_.size());
-  backward_endpoint_.resize(forward_endpoint_.size());
-  backward_distance_.resize(forward_distance_.size());
-}
-
 CoverageGraph::EdgeLanes CoverageGraph::ForwardLanesOf(int u) const {
   OSRS_DCHECK_GE(u, 0);
   OSRS_DCHECK_LT(u, num_candidates());
@@ -594,13 +568,37 @@ CoverageGraph::EdgeLanes CoverageGraph::ForwardLanesOf(int u) const {
           forward_offsets_[static_cast<size_t>(u) + 1] - begin};
 }
 
-CoverageGraph::EdgeLanes CoverageGraph::BackwardLanesOf(int w) const {
+CoverageGraph::Transposed CoverageGraph::Transpose() const {
+  // Counting sort by target: degrees, a prefix sum into the offsets, then
+  // one pass over the forward rows in candidate order. Each target's row
+  // therefore lists its coverers in ascending candidate id.
+  Transposed out;
+  const size_t num_w = static_cast<size_t>(num_targets());
+  out.offsets_.assign(num_w + 1, 0);
+  for (int32_t w : forward_endpoint_) {
+    ++out.offsets_[static_cast<size_t>(w) + 1];
+  }
+  for (size_t w = 0; w < num_w; ++w) out.offsets_[w + 1] += out.offsets_[w];
+  out.endpoint_.resize(num_edges());
+  out.distance_.resize(num_edges());
+  std::vector<size_t> cursor(out.offsets_.begin(), out.offsets_.end() - 1);
+  for (int u = 0; u < num_candidates(); ++u) {
+    const EdgeLanes lanes = ForwardLanesOf(u);
+    for (size_t i = 0; i < lanes.size; ++i) {
+      const size_t slot = cursor[static_cast<size_t>(lanes.endpoint[i])]++;
+      out.endpoint_[slot] = u;
+      out.distance_[slot] = lanes.distance[i];
+    }
+  }
+  return out;
+}
+
+CoverageGraph::EdgeLanes CoverageGraph::Transposed::LanesOf(int w) const {
   OSRS_DCHECK_GE(w, 0);
-  OSRS_DCHECK_LT(w, num_targets());
-  const size_t begin = backward_offsets_[static_cast<size_t>(w)];
-  return {backward_endpoint_.data() + begin,
-          backward_distance_.data() + begin,
-          backward_offsets_[static_cast<size_t>(w) + 1] - begin};
+  OSRS_DCHECK_LT(static_cast<size_t>(w) + 1, offsets_.size());
+  const size_t begin = offsets_[static_cast<size_t>(w)];
+  return {endpoint_.data() + begin, distance_.data() + begin,
+          offsets_[static_cast<size_t>(w) + 1] - begin};
 }
 
 double CoverageGraph::EmptySummaryCost() const {
@@ -626,7 +624,7 @@ double CoverageGraph::CostOfSelection(std::span<const int> selected,
     const EdgeLanes lanes = ForwardLanesOf(u);
     for (size_t i = 0; i < lanes.size; ++i) {
       float& b = best_scratch[static_cast<size_t>(lanes.endpoint[i])];
-      if (lanes.distance[i] < b) b = lanes.distance[i];
+      b = std::min(b, static_cast<float>(lanes.distance[i]));
     }
   }
   double total = 0.0;

@@ -21,7 +21,7 @@ struct CoverageBuildOptions {
   /// 0 = hardware concurrency. Bit-identical output at every value.
   int num_threads = 1;
   /// When non-zero, an upper bound on the bytes the finished graph may
-  /// occupy (both CSR copies, offsets, root distances). The counting pass
+  /// occupy (CSR lanes, offsets, root distances). The counting pass
   /// already knows the exact edge total before anything is allocated, so
   /// an over-budget build returns kResourceExhausted *without* attempting
   /// the allocation — no bad_alloc, no partially built graph. 0 = no limit.
@@ -37,19 +37,26 @@ struct CoverageBuildOptions {
 /// covers target w at finite Definition 1 distance; for a group candidate
 /// the weight is the minimum over its member pairs.
 ///
-/// Storage is CSR in both directions: the greedy algorithm walks forward
-/// edges (candidate → targets) when applying a selection and backward edges
-/// (target → candidates) to find the neighbor-of-neighbor keys to update.
+/// Storage is a forward CSR only (candidate → targets, targets ascending
+/// within a row): the production greedy (the lazy heap) and every other
+/// serving-path reader walk nothing else. The consumers that need the
+/// backward direction (target → coverers) — the eager heap and the
+/// k-median LP — derive it on demand with Transpose().
 ///
-/// The CSR is structure-of-arrays: each direction keeps a 64-byte-aligned
-/// endpoint lane (int32) and a distance lane (float) rather than an array
-/// of {endpoint, distance} structs. The SIMD kernels (common/simd.h)
-/// stream one lane per register — 8 endpoints or 8 distances per load —
-/// which an interleaved layout would halve; scalar consumers keep the
-/// struct view through EdgesOf/CoveringOf, whose iterator zips the lanes
-/// back into Edge values.
+/// The CSR is structure-of-arrays: a 64-byte-aligned endpoint lane (int32)
+/// and a distance lane of one byte per edge rather than an array of
+/// {endpoint, distance} structs, so an edge costs 5 bytes. Coverage
+/// distances are integral hop counts; every build first checks that the
+/// ontology's largest ancestor-closure distance fits in a byte
+/// (kMaxEdgeDistance). The SIMD kernels (common/simd.h) stream one lane per
+/// register and widen the bytes to float exactly; scalar consumers keep the
+/// struct view through EdgesOf, whose iterator zips the lanes back into
+/// Edge values.
 class CoverageGraph {
  public:
+  /// Largest edge distance the byte lane holds.
+  static constexpr int kMaxEdgeDistance = 255;
+
   /// A half-edge view: the opposite endpoint and the coverage distance.
   /// The weight is float — coverage distances are small integer hop counts
   /// (min over hops for group candidates), which float represents exactly.
@@ -65,7 +72,7 @@ class CoverageGraph {
   /// offset; the kernels use unaligned loads).
   struct EdgeLanes {
     const int32_t* endpoint = nullptr;
-    const float* distance = nullptr;
+    const uint8_t* distance = nullptr;
     size_t size = 0;
   };
 
@@ -84,12 +91,14 @@ class CoverageGraph {
       using pointer = const Edge*;
 
       Iterator() = default;
-      Iterator(const int32_t* endpoint, const float* distance)
+      Iterator(const int32_t* endpoint, const uint8_t* distance)
           : endpoint_(endpoint), distance_(distance) {}
 
-      Edge operator*() const { return Edge{*endpoint_, *distance_}; }
+      Edge operator*() const {
+        return Edge{*endpoint_, static_cast<float>(*distance_)};
+      }
       Edge operator[](difference_type i) const {
-        return Edge{endpoint_[i], distance_[i]};
+        return Edge{endpoint_[i], static_cast<float>(distance_[i])};
       }
       Iterator& operator++() {
         ++endpoint_;
@@ -121,7 +130,7 @@ class CoverageGraph {
 
      private:
       const int32_t* endpoint_ = nullptr;
-      const float* distance_ = nullptr;
+      const uint8_t* distance_ = nullptr;
     };
 
     EdgeRange() = default;
@@ -134,7 +143,8 @@ class CoverageGraph {
     size_t size() const { return lanes_.size; }
     bool empty() const { return lanes_.size == 0; }
     Edge operator[](size_t i) const {
-      return Edge{lanes_.endpoint[i], lanes_.distance[i]};
+      return Edge{lanes_.endpoint[i],
+                  static_cast<float>(lanes_.distance[i])};
     }
     EdgeLanes lanes() const { return lanes_; }
 
@@ -159,8 +169,11 @@ class CoverageGraph {
   /// Resource failures surface as Status: a build whose counting pass
   /// predicts more than `options.max_memory_bytes` of graph storage returns
   /// kResourceExhausted before allocating, and the "osrs.coverage.alloc"
-  /// failpoint (src/fault/failpoint.h) is evaluated on entry. The default
-  /// options (serial, no limit) fail only through an armed failpoint.
+  /// failpoint (src/fault/failpoint.h) is evaluated on entry. An ontology
+  /// whose max_ancestor_distance() exceeds kMaxEdgeDistance fails with
+  /// kInvalidArgument, also before anything is allocated. The default
+  /// options (serial, no limit) fail only through an armed failpoint or
+  /// such an ontology.
   static Result<CoverageGraph> TryBuildForPairs(
       const PairDistance& distance,
       const std::vector<ConceptSentimentPair>& pairs,
@@ -191,10 +204,13 @@ class CoverageGraph {
       const CoverageBuildOptions& options = {});
 
   /// Bytes of heap storage this graph's vectors occupy (capacity-exact for
-  /// a freshly built graph). The same formula the TryBuild* memory gate
-  /// evaluates pre-allocation.
+  /// a freshly built graph: equal to MemoryBytes()). The same formula the
+  /// TryBuild* memory gate evaluates pre-allocation.
   static size_t EstimateBytes(size_t num_edges, size_t num_candidates,
                               size_t num_targets, bool weighted);
+
+  /// Bytes the graph's vectors hold, by capacity.
+  size_t MemoryBytes() const;
 
   int num_candidates() const { return static_cast<int>(forward_offsets_.size()) - 1; }
   int num_targets() const { return static_cast<int>(root_distance_.size()); }
@@ -203,15 +219,28 @@ class CoverageGraph {
   /// Targets covered by candidate `u` with their distances.
   EdgeRange EdgesOf(int u) const { return EdgeRange(ForwardLanesOf(u)); }
 
-  /// Candidates covering target `w` with their distances.
-  EdgeRange CoveringOf(int w) const { return EdgeRange(BackwardLanesOf(w)); }
-
   /// Raw SoA lanes of candidate u's forward row (targets + distances) —
   /// what the SIMD gain/update kernels stream.
   EdgeLanes ForwardLanesOf(int u) const;
 
-  /// Raw SoA lanes of target w's backward row (coverers + distances).
-  EdgeLanes BackwardLanesOf(int w) const;
+  /// The backward direction (target → coverers), derived from the forward
+  /// CSR by one counting-sort pass. Target w's row lists its coverers in
+  /// ascending candidate id. Same 5 bytes per edge as the forward lanes,
+  /// plus one offset per target; the caller owns it.
+  class Transposed {
+   public:
+    /// Raw SoA lanes of target w's row (coverers + distances).
+    EdgeLanes LanesOf(int w) const;
+    /// Candidates covering target `w` with their distances.
+    EdgeRange CoveringOf(int w) const { return EdgeRange(LanesOf(w)); }
+
+   private:
+    friend class CoverageGraph;
+    std::vector<size_t> offsets_;
+    AlignedVector<int32_t> endpoint_;
+    AlignedVector<uint8_t> distance_;
+  };
+  Transposed Transpose() const;
 
   /// d(r, pair_w): the always-available root coverage distance of target w.
   double root_distance(int w) const { return root_distance_[w]; }
@@ -271,23 +300,12 @@ class CoverageGraph {
 
   /// Turns the per-(shard, candidate) forward degree counts of the builders'
   /// counting pass into forward_offsets_ plus disjoint scatter cursors (one
-  /// serial prefix sum), and sizes forward_edges_. On return,
-  /// `shard_degree[s][u]` is the first forward_edges_ slot of shard s's
-  /// slice of candidate u's row; slices are consecutive in shard order, so
-  /// after the builders' scatter pass it holds the slice end.
+  /// serial prefix sum), and sizes the forward lanes. On return,
+  /// `shard_degree[s][u]` is the first lane slot of shard s's slice of
+  /// candidate u's row; slices are consecutive in shard order, so after the
+  /// builders' scatter pass it holds the slice end.
   void PrepareForwardScatter(int num_candidates,
                              std::vector<std::vector<size_t>>& shard_degree);
-
-  /// Prefix-sums the per-target covering counts into backward_offsets_ and
-  /// sizes backward_edges_. The scatter pass then fills backward rows
-  /// in-line: targets are enumerated in ascending order within each shard
-  /// and shards own contiguous target ranges, so every shard's backward
-  /// writes are purely sequential over a disjoint range — no transpose
-  /// pass. Rows hold a target's coverers in emission (closure × bucket)
-  /// order, which is fixed per target and thus identical at every shard
-  /// count.
-  void PrepareBackwardFill(int num_targets,
-                           const std::vector<size_t>& backward_degree);
 
   // Forward CSR, structure-of-arrays: candidate u's row is
   // forward_endpoint_/forward_distance_[forward_offsets_[u] ..
@@ -295,12 +313,7 @@ class CoverageGraph {
   // kernels' streaming loads.
   std::vector<size_t> forward_offsets_;
   AlignedVector<int32_t> forward_endpoint_;
-  AlignedVector<float> forward_distance_;
-  // Backward CSR, same layout: target w is covered by the row at
-  // backward_offsets_[w].
-  std::vector<size_t> backward_offsets_;
-  AlignedVector<int32_t> backward_endpoint_;
-  AlignedVector<float> backward_distance_;
+  AlignedVector<uint8_t> forward_distance_;
   std::vector<double> root_distance_;
   AlignedVector<float> root_distance_f32_;  // same values, kernel lane
   std::vector<double> target_weights_;      // empty = all ones

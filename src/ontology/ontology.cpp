@@ -172,7 +172,16 @@ Status Ontology::Finalize() {
                 });
     }
     size_t total_entries = 0;
-    for (const auto& entries : closure) total_entries += entries.size();
+    max_ancestor_distance_ = 0;
+    for (const auto& entries : closure) {
+      total_entries += entries.size();
+      // Each concept's entries are sorted by distance, so the last is its
+      // farthest ancestor.
+      if (!entries.empty()) {
+        max_ancestor_distance_ =
+            std::max(max_ancestor_distance_, entries.back().distance);
+      }
+    }
     closure_offsets_.assign(names_.size() + 1, 0);
     closure_entries_.clear();
     closure_entries_.reserve(total_entries);

@@ -110,6 +110,12 @@ class Ontology {
   /// Maximum DepthFromRoot over all concepts (the Δ of Theorem 4).
   int max_depth() const { return max_depth_; }
 
+  /// Largest distance in the ancestor closure: the longest shortest path
+  /// from any ancestor down to any descendant, precomputed at Finalize().
+  /// In a DAG it can exceed max_depth(): a concept hanging right under the
+  /// root may also sit at the end of a long chain through another parent.
+  int max_ancestor_distance() const { return max_ancestor_distance_; }
+
   /// Mean number of ancestors (incl. self) per concept; the §4.1 linearity
   /// claim rests on this being small. O(1): derived from the closure CSR
   /// degrees.
@@ -165,6 +171,7 @@ class Ontology {
   ConceptId root_ = kInvalidConcept;
   std::vector<int> depth_from_root_;
   int max_depth_ = 0;
+  int max_ancestor_distance_ = 0;
   std::vector<ConceptId> topo_order_;
   // Transitive ancestor closure in CSR form, filled at Finalize():
   // closure_entries_[closure_offsets_[id] .. closure_offsets_[id + 1])

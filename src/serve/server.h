@@ -352,7 +352,7 @@ class SummaryServer {
   /// The builder thread: takes queued versions in write order until Stop.
   void BuilderLoop() OSRS_EXCLUDES(builder_mutex_);
   /// One write-time build: skips a version that was replaced, acquires
-  /// its graph, then starts the greedy run of the configured heap.
+  /// its graph, then starts its greedy run when greedy is configured.
   /// Failures are logged and leave the slots empty for the reads.
   void BuildWrittenVersion(const std::weak_ptr<ItemVersion>& written,
                            const ReviewSummarizer& summarizer)

@@ -101,12 +101,14 @@ class LazyMaxHeap {
     return top;
   }
 
- private:
+  /// The heap order: larger gain first, smaller id on ties, like the
+  /// eager heap.
   static bool Precedes(const Entry& a, const Entry& b) {
     if (a.gain != b.gain) return a.gain > b.gain;
-    return a.id < b.id;  // smaller id wins ties, like the eager heap
+    return a.id < b.id;
   }
 
+ private:
   std::span<Entry> entries_;
   size_t size_ = 0;
 };
@@ -142,6 +144,8 @@ size_t NumCandidates(const CoverageGraph& graph) {
 }
 
 /// The paper's Algorithm 2 heap: keys updated in place after every pick.
+/// The paper-fidelity oracle (tests, the A1 and Fig. 4/5 benches); the
+/// facade solves with the lazy heap.
 class EagerRun final : public GreedyRun {
  public:
   explicit EagerRun(const CoverageGraph& graph)
@@ -150,6 +154,7 @@ class EagerRun final : public GreedyRun {
       : GreedyRun(graph, NumCandidates(graph) *
                              (sizeof(double) + 2 * sizeof(int32_t) +
                               sizeof(double) + sizeof(int32_t))),
+        backward_(graph.Transpose()),
         keys_(arena_.AllocateArray<double>(NumCandidates(graph))),
         pending_delta_(arena_.AllocateArray<double>(NumCandidates(graph))),
         touched_(arena_.AllocateArray<int32_t>(NumCandidates(graph))) {
@@ -193,7 +198,7 @@ class EagerRun final : public GreedyRun {
                                     : target_weights[static_cast<size_t>(w)];
       current = edges.distance[i];
       cost -= (old_best - new_best) * target_weight;
-      const CoverageGraph::EdgeLanes covering = graph_.BackwardLanesOf(w);
+      const CoverageGraph::EdgeLanes covering = backward_.LanesOf(w);
       for (size_t j = 0; j < covering.size; ++j) {
         const int32_t candidate = covering.endpoint[j];
         if (!heap.Contains(candidate)) continue;
@@ -221,6 +226,10 @@ class EagerRun final : public GreedyRun {
   obs::Stat work_stat() const override { return obs::Stat::kKeyUpdates; }
 
  private:
+  /// The graph's backward rows (coverers of each target), which the
+  /// neighbor-of-neighbor updates walk. The graph keeps only the forward
+  /// CSR, so the run derives and owns them.
+  const CoverageGraph::Transposed backward_;
   /// The heap's keys, mutated in place by UpdateKey.
   std::span<double> keys_;
   std::optional<IndexedMaxHeap> heap_;  // built by Init
@@ -237,12 +246,8 @@ class EagerRun final : public GreedyRun {
 class LazyRun final : public GreedyRun {
  public:
   explicit LazyRun(const CoverageGraph& graph)
-      : GreedyRun(graph, NumCandidates(graph) * (sizeof(LazyMaxHeap::Entry) +
-                                                 sizeof(uint8_t))),
-        heap_(NumCandidates(graph), arena_),
-        selected_flag_(arena_.AllocateArray<uint8_t>(NumCandidates(graph))) {
-    std::fill(selected_flag_.begin(), selected_flag_.end(), uint8_t{0});
-  }
+      : GreedyRun(graph, NumCandidates(graph) * sizeof(LazyMaxHeap::Entry)),
+        heap_(NumCandidates(graph), arena_) {}
 
   bool exhausted() const override { return heap_.empty(); }
 
@@ -254,18 +259,23 @@ class LazyRun final : public GreedyRun {
   }
 
   // Staleness is safe because the gain is monotone non-increasing as F
-  // grows (submodularity): a recomputed gain still at the top is exactly
-  // the true maximum. Each candidate has at most one live entry (a pop
-  // either retires or re-pushes it), so capacity n suffices.
+  // grows (submodularity): every stale key bounds its candidate's true
+  // gain from above. A recomputed (gain, id) that precedes the top entry
+  // in the heap order therefore precedes every candidate's true (gain,
+  // id), so the pick is the eager heap's: the largest gain, the smallest
+  // id among equal gains. Accepting a fresh gain that merely equals the
+  // top's would pick u over a smaller-id candidate of the same true gain.
+  // Each candidate has at most one live entry (a pop either picks or
+  // re-pushes it), so capacity n suffices and a picked candidate never
+  // resurfaces.
   int RunRound(double& cost, int64_t& work, RoundTally& tally) override {
     while (true) {
       const int u = heap_.Pop().id;
       ++tally.heap_pops;
-      if (selected_flag_[static_cast<size_t>(u)] != 0) continue;
-      double fresh = GainOf(graph_, best_.data(), u, tally.evals);
+      const LazyMaxHeap::Entry fresh{
+          GainOf(graph_, best_.data(), u, tally.evals), u};
       ++work;
-      if (heap_.empty() || fresh >= heap_.Top().gain) {
-        selected_flag_[static_cast<size_t>(u)] = 1;
+      if (heap_.empty() || LazyMaxHeap::Precedes(fresh, heap_.Top())) {
         // Apply the pick with the vectorized min-update: best[] improves
         // in place and the returned covered-cost decrease follows the
         // fixed accumulation-order contract, so it is bit-identical
@@ -277,7 +287,7 @@ class LazyRun final : public GreedyRun {
                                    graph_.target_weights_or_null());
         return u;
       }
-      heap_.Push({fresh, u});
+      heap_.Push(fresh);
     }
   }
 
@@ -285,7 +295,6 @@ class LazyRun final : public GreedyRun {
 
  private:
   LazyMaxHeap heap_;
-  std::span<uint8_t> selected_flag_;
 };
 
 }  // namespace

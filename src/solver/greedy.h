@@ -23,15 +23,19 @@ struct EvalCounter {
 
 /// Options for the greedy summarizer.
 struct GreedyOptions {
-  /// Heap maintenance strategy. kEager is the paper's Algorithm 2: after a
-  /// selection, the keys of every neighbor-of-neighbor are updated in place
-  /// (O(d²) updates of O(log n) each). kLazy is the classical lazy-greedy
-  /// optimization valid for submodular gains: keys go stale and are
-  /// recomputed only when popped, accepted if still at least the next key.
-  /// Both carry the same Theorem 4 guarantee and agree except on exact
-  /// gain ties; kLazy often does less work (ablation A1 measures this).
+  /// Heap maintenance strategy. kLazy (the default, and the facade's only
+  /// heap) is Minoux's lazy greedy, valid for submodular gains: keys go
+  /// stale and are recomputed only when popped, and a recomputed gain is
+  /// accepted when it still comes first in the heap order (larger gain,
+  /// then smaller id). kEager is the paper's Algorithm 2 as written: after
+  /// a selection, the keys of every neighbor-of-neighbor are updated in
+  /// place (O(d²) updates of O(log n) each), walking backward rows the run
+  /// derives with CoverageGraph::Transpose. It is kept as the
+  /// paper-fidelity oracle for tests and the A1 and Fig. 4/5 benches. Both
+  /// break ties toward the smaller id, so they pick the same candidates in
+  /// the same order; only the work differs (ablation A1 measures it).
   enum class Heap { kEager, kLazy };
-  Heap heap = Heap::kEager;
+  Heap heap = Heap::kLazy;
 };
 
 /// One resumable run of Algorithm 2 on one graph with one heap strategy.
@@ -44,11 +48,16 @@ struct GreedyOptions {
 /// rounds. Solve puts the three together and returns exactly what a cold
 /// GreedySummarizer::Summarize(graph, k, budget) returns, bit for bit.
 ///
-/// Not thread-safe (SummaryGraph serializes access to the runs it keeps),
+/// Not thread-safe (SummaryGraph serializes access to the run it keeps),
 /// and the graph must outlive the run. The run owns its scratch, in an
-/// arena of its own: 4 bytes per target (the best-distance array) and 28
-/// bytes per candidate for the eager heap or 17 for the lazy one, plus 20
-/// bytes per recorded round.
+/// arena of its own: 4 bytes per target (the best-distance array) and 16
+/// bytes per candidate for the lazy heap, plus 20 bytes per recorded
+/// round. The eager heap takes 28 bytes per candidate and also owns the
+/// graph's transpose (5 bytes per edge and 8 per target).
+///
+/// The work unit (SummaryResult::work, what a work budget counts) is one
+/// gain recompute for the lazy heap and one key update for the eager
+/// heap.
 class GreedyRun {
  public:
   /// Scans every candidate's initial gain and builds the heap. Before any

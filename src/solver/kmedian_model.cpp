@@ -35,7 +35,9 @@ KMedianModel BuildKMedianModel(const CoverageGraph& graph, int k,
   }
 
   // Per-target assignment rows, with root assignment always available, and
-  // the linking rows y_uw <= x_u for the useful edges.
+  // the linking rows y_uw <= x_u for the useful edges, in ascending
+  // candidate id within each target (the transpose's row order).
+  const CoverageGraph::Transposed backward = graph.Transpose();
   for (int w = 0; w < graph.num_targets(); ++w) {
     const double root_cost = graph.root_distance(w);
     const double target_weight = graph.target_weight(w);
@@ -43,7 +45,7 @@ KMedianModel BuildKMedianModel(const CoverageGraph& graph, int k,
     int y_root = lp.AddVariable(0.0, 1.0, root_cost * target_weight, false,
                                 StrFormat("yroot_%d", w));
     std::vector<std::pair<int, double>> assignment{{y_root, 1.0}};
-    const CoverageGraph::EdgeLanes lanes = graph.BackwardLanesOf(w);
+    const CoverageGraph::EdgeLanes lanes = backward.LanesOf(w);
     for (size_t i = 0; i < lanes.size; ++i) {
       const double distance = static_cast<double>(lanes.distance[i]);
       if (distance >= root_cost) continue;  // dominated by the root

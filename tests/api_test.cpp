@@ -1,5 +1,6 @@
 #include <cmath>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -82,7 +83,7 @@ TEST(ReviewSummarizerTest, AllAlgorithmsAgreeOnCostOrdering) {
   double ilp_cost = 0.0;
   for (SummaryAlgorithm algorithm :
        {SummaryAlgorithm::kIlp, SummaryAlgorithm::kGreedy,
-        SummaryAlgorithm::kGreedyLazy, SummaryAlgorithm::kRandomizedRounding}) {
+        SummaryAlgorithm::kRandomizedRounding}) {
     ReviewSummarizerOptions options;
     options.algorithm = algorithm;
     options.granularity = SummaryGranularity::kPairs;
@@ -195,6 +196,49 @@ TEST(ReviewSummarizerTest, ToJsonIsWellFormed) {
   }
   EXPECT_EQ(braces, 0);
   EXPECT_EQ(brackets, 0);
+}
+
+TEST(ReviewSummarizerTest, OntologyTooDeepForByteDistancesIsAnError) {
+  // Coverage graphs store distances in one byte. An ontology in which some
+  // concept sits 256 hops below an ancestor cannot be summarized: the
+  // facade returns the build's kInvalidArgument (no fallback absorbs it),
+  // for every algorithm and granularity. Here every concept hangs right
+  // under the root, so max_depth() is 1, but c1 → ... → c257 is a chain.
+  Ontology onto;
+  ConceptId root = onto.AddConcept("root");
+  ConceptId previous = kInvalidConcept;
+  for (int i = 1; i <= 257; ++i) {
+    ConceptId c = onto.AddConcept("c" + std::to_string(i));
+    ASSERT_TRUE(onto.AddEdge(root, c).ok());
+    if (previous != kInvalidConcept) {
+      ASSERT_TRUE(onto.AddEdge(previous, c).ok());
+    }
+    previous = c;
+  }
+  ASSERT_TRUE(onto.Finalize().ok());
+  ASSERT_EQ(onto.max_depth(), 1);
+  Item item;
+  item.id = "deep";
+  Review review;
+  review.sentences.push_back({"top", {{onto.FindByName("c1"), 0.5}}});
+  review.sentences.push_back({"bottom", {{onto.FindByName("c257"), 0.5}}});
+  item.reviews = {review};
+  for (SummaryAlgorithm algorithm :
+       {SummaryAlgorithm::kGreedy, SummaryAlgorithm::kIlp}) {
+    for (SummaryGranularity granularity :
+         {SummaryGranularity::kPairs, SummaryGranularity::kSentences}) {
+      ReviewSummarizerOptions options;
+      options.algorithm = algorithm;
+      options.granularity = granularity;
+      ReviewSummarizer summarizer(&onto, options);
+      auto summary = summarizer.Summarize(item, 1);
+      ASSERT_FALSE(summary.ok());
+      EXPECT_EQ(summary.status().code(), StatusCode::kInvalidArgument)
+          << summary.status().ToString();
+      EXPECT_EQ(summarizer.BuildGraph(item, 1).status().code(),
+                StatusCode::kInvalidArgument);
+    }
+  }
 }
 
 TEST(ReviewSummarizerTest, ToJsonEscapesSpecialCharacters) {

@@ -106,10 +106,12 @@ TEST(BudgetCancellationTest, GreedyEagerStopsCancelled) {
   PairDistance dist(&inst.ontology, 0.5);
   CoverageGraph graph =
       CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
+  GreedyOptions options;
+  options.heap = GreedyOptions::Heap::kEager;
   CancellationFlag flag;
   flag.Cancel();
-  auto result = GreedySummarizer().Summarize(graph, 10,
-                                             CancelledBudget(&flag));
+  auto result = GreedySummarizer(options).Summarize(graph, 10,
+                                                    CancelledBudget(&flag));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
 }
@@ -257,7 +259,7 @@ TEST(BudgetWorkTest, GreedyReturnsPartialIncumbentFlaggedApproximate) {
   CoverageGraph graph =
       CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
   ExecutionBudget budget;
-  budget.SetMaxWork(1);  // trips after the first round's key updates
+  budget.SetMaxWork(1);  // trips after the first round's gain recomputes
   auto result = GreedySummarizer().Summarize(graph, 20, budget);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->approximate);
@@ -412,7 +414,9 @@ TEST(FacadeFallbackTest, GreedyFallbackContinuesWorkTrippedPrimaryRun) {
   options.granularity = SummaryGranularity::kPairs;
   auto unbudgeted = ReviewSummarizer(&onto, options).Summarize(item, 10);
   ASSERT_TRUE(unbudgeted.ok());
-  const int64_t work = CounterValue(unbudgeted->stats, "key_updates");
+  // The facade's greedy is the lazy heap: its work unit is one gain
+  // recompute.
+  const int64_t work = CounterValue(unbudgeted->stats, "gain_recomputes");
   ASSERT_GT(work, 1);
 
   options.max_solver_work = work / 2;
@@ -465,7 +469,7 @@ TEST(FacadeFallbackTest, ThrowInARoundEmptiesTheRunSlot) {
   EXPECT_THROW((void)summarizer.Summarize(item, 5, ExecutionBudget(), source),
                std::bad_alloc);
   fault::FailpointRegistry::Global().DisarmAll();
-  EXPECT_EQ(shared->GreedyRunRounds(GreedyOptions::Heap::kEager), -1)
+  EXPECT_EQ(shared->GreedyRunRounds(), -1)
       << "a throwing round must leave the slot empty";
 
   auto next = summarizer.Summarize(item, 5, ExecutionBudget(), source);
@@ -473,10 +477,8 @@ TEST(FacadeFallbackTest, ThrowInARoundEmptiesTheRunSlot) {
   EXPECT_FALSE(next->degraded);
   EXPECT_EQ(CounterValue(next->stats, "greedy_run_starts"), 1)
       << "a fresh run replaces the lost one";
-  EXPECT_EQ(shared->GreedyRunRounds(GreedyOptions::Heap::kEager), 5);
+  EXPECT_EQ(shared->GreedyRunRounds(), 5);
   ExpectUnbudgetedGreedyWithOneInit(onto, item, 5, *next);
-  // The other heap's slot was never touched.
-  EXPECT_EQ(shared->GreedyRunRounds(GreedyOptions::Heap::kLazy), -1);
 }
 
 // ---------------------------------------------------- sentiment validation --

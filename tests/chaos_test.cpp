@@ -738,9 +738,12 @@ struct Schedule {
 Schedule MakeSchedule(uint64_t seed) {
   Rng rng(seed);
   Schedule schedule;
+  // Greedy fills two of the four draws (the second was the lazy-heap
+  // variant, which is now the facade's one greedy), so each seed keeps the
+  // schedule it always had.
   const SummaryAlgorithm algorithms[] = {
       SummaryAlgorithm::kGreedy,
-      SummaryAlgorithm::kGreedyLazy,
+      SummaryAlgorithm::kGreedy,
       SummaryAlgorithm::kIlp,
       SummaryAlgorithm::kRandomizedRounding,
   };

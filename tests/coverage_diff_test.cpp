@@ -4,19 +4,25 @@
 // shares no code with the production path (its ancestor distances come
 // from a fresh upward BFS per query, its edges from an O(|U|·|W|) scan).
 // Every comparison runs at 1, 2 and 8 threads and demands identical
-// graphs — same edges, same weights, same CSR order. The memory gate is
-// checked at its exact boundary against the same unlimited builds.
+// graphs — same edges, same weights, same CSR order — and a transpose
+// equal to a brute-force backward CSR. The memory gate is checked at its
+// exact boundary against the same unlimited builds, and EstimateBytes
+// against the bytes a fresh graph holds.
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/distance.h"
 #include "coverage/coverage_graph.h"
+#include "coverage/item_graph.h"
 #include "ontology/ontology.h"
 
 namespace osrs {
@@ -118,6 +124,41 @@ std::vector<RefEdge> NaiveGroupEdges(
   return edges;  // map iteration is already (candidate, target)-sorted
 }
 
+/// The backward CSR by brute force: one growable row per target, filled
+/// by walking every candidate's forward row in ascending candidate id.
+std::vector<std::vector<RefEdge>> BruteForceBackward(
+    const CoverageGraph& graph) {
+  std::vector<std::vector<RefEdge>> rows(
+      static_cast<size_t>(graph.num_targets()));
+  for (int u = 0; u < graph.num_candidates(); ++u) {
+    for (const auto& e : graph.EdgesOf(u)) {
+      rows[static_cast<size_t>(e.endpoint)].push_back(
+          {u, e.endpoint, e.weight});
+    }
+  }
+  return rows;
+}
+
+/// Transpose() equals the brute-force backward CSR: same rows, same
+/// ascending-candidate order, same distances.
+void ExpectTransposeMatchesBruteForce(const CoverageGraph& graph,
+                                      const char* context) {
+  const CoverageGraph::Transposed backward = graph.Transpose();
+  const std::vector<std::vector<RefEdge>> expected = BruteForceBackward(graph);
+  size_t total = 0;
+  for (int w = 0; w < graph.num_targets(); ++w) {
+    const std::vector<RefEdge>& want = expected[static_cast<size_t>(w)];
+    const CoverageGraph::EdgeRange got = backward.CoveringOf(w);
+    ASSERT_EQ(want.size(), got.size()) << context << " target " << w;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(want[i].candidate, got[i].endpoint) << context;
+      EXPECT_EQ(want[i].weight, got[i].weight) << context;
+    }
+    total += got.size();
+  }
+  EXPECT_EQ(total, graph.num_edges()) << context;
+}
+
 /// Flattens a CoverageGraph's forward CSR into sorted reference edges.
 std::vector<RefEdge> GraphEdges(const CoverageGraph& graph) {
   std::vector<RefEdge> edges;
@@ -139,23 +180,7 @@ void ExpectEdgesEqual(const std::vector<RefEdge>& expected,
     EXPECT_EQ(expected[i].target, actual[i].target) << context;
     EXPECT_DOUBLE_EQ(expected[i].weight, actual[i].weight) << context;
   }
-  // The backward CSR must mirror the forward one exactly.
-  size_t backward_total = 0;
-  for (int w = 0; w < graph.num_targets(); ++w) {
-    for (const auto& e : graph.CoveringOf(w)) {
-      ++backward_total;
-      bool found = false;
-      for (const auto& f : graph.EdgesOf(e.endpoint)) {
-        if (f.endpoint == w && f.weight == e.weight) {
-          found = true;
-          break;
-        }
-      }
-      EXPECT_TRUE(found) << context << " backward edge (" << e.endpoint
-                         << ", " << w << ") has no forward twin";
-    }
-  }
-  EXPECT_EQ(backward_total, graph.num_edges()) << context;
+  ExpectTransposeMatchesBruteForce(graph, context);
 }
 
 // ---------------------------------------------------------------------------
@@ -426,19 +451,34 @@ TEST(CoverageDiffTest, ThreadCountsProduceIdenticalGraphs) {
   }
 }
 
+/// The raw forward lanes of two graphs, byte for byte: endpoints and the
+/// one-byte distances, row by row.
+void ExpectForwardLanesIdentical(const CoverageGraph& expected,
+                                 const CoverageGraph& actual,
+                                 const char* context) {
+  ASSERT_EQ(expected.num_candidates(), actual.num_candidates()) << context;
+  ASSERT_EQ(expected.num_edges(), actual.num_edges()) << context;
+  for (int u = 0; u < expected.num_candidates(); ++u) {
+    const CoverageGraph::EdgeLanes want = expected.ForwardLanesOf(u);
+    const CoverageGraph::EdgeLanes got = actual.ForwardLanesOf(u);
+    ASSERT_EQ(want.size, got.size) << context << " candidate " << u;
+    if (want.size == 0) continue;
+    EXPECT_EQ(0, std::memcmp(want.endpoint, got.endpoint,
+                             want.size * sizeof(int32_t)))
+        << context << " candidate " << u;
+    EXPECT_EQ(0, std::memcmp(want.distance, got.distance,
+                             want.size * sizeof(uint8_t)))
+        << context << " candidate " << u;
+  }
+}
+
 void ExpectGraphsIdentical(const CoverageGraph& expected,
                            const CoverageGraph& actual, const char* context) {
   ASSERT_EQ(expected.num_candidates(), actual.num_candidates()) << context;
   ASSERT_EQ(expected.num_targets(), actual.num_targets()) << context;
   ExpectEdgesEqual(GraphEdges(expected), actual, context);
+  ExpectForwardLanesIdentical(expected, actual, context);
   for (int w = 0; w < expected.num_targets(); ++w) {
-    CoverageGraph::EdgeRange want = expected.CoveringOf(w);
-    CoverageGraph::EdgeRange got = actual.CoveringOf(w);
-    ASSERT_EQ(want.size(), got.size()) << context << " target " << w;
-    for (size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(want[i].endpoint, got[i].endpoint) << context;
-      EXPECT_EQ(want[i].weight, got[i].weight) << context;
-    }
     EXPECT_EQ(expected.root_distance(w), actual.root_distance(w)) << context;
     EXPECT_EQ(expected.target_weight(w), actual.target_weight(w)) << context;
   }
@@ -509,6 +549,223 @@ TEST(CoverageDiffTest, MemoryGateAdmitsExactEstimateAndRejectsOneByteLess) {
                   .status()
                   .code(),
               StatusCode::kResourceExhausted);
+  }
+}
+
+TEST(CoverageDiffTest, ForwardLanesBitIdenticalAtEveryThreadCount) {
+  // The byte distance lane and the endpoint lane of a sharded build equal
+  // the serial build's byte for byte, for every builder; the serial build
+  // itself equals the naive reference (the tests above), so no value
+  // changed when the lane narrowed to one byte.
+  for (uint64_t seed : {7u, 8u}) {
+    Rng rng(seed);
+    Ontology onto = RandomOntology(rng, 80, 0.25);
+    std::vector<ConceptSentimentPair> pairs = RandomPairs(rng, onto, 250);
+    std::vector<std::vector<int>> groups = RandomGroups(rng, pairs.size());
+    std::vector<double> weights(pairs.size());
+    for (double& weight : weights) weight = 1.0 + rng.NextDouble();
+    PairDistance dist(&onto, 0.3);
+    const CoverageGraph serial_pairs =
+        CoverageGraph::TryBuildForPairs(dist, pairs).value();
+    const CoverageGraph serial_groups =
+        CoverageGraph::TryBuildForGroups(dist, pairs, groups).value();
+    const CoverageGraph serial_weighted =
+        CoverageGraph::TryBuildForPairsWeighted(dist, pairs, weights).value();
+    ExpectEdgesEqual(NaivePairsEdges(onto, pairs, 0.3), serial_pairs,
+                     "serial pairs vs naive");
+    ExpectEdgesEqual(NaiveGroupEdges(onto, pairs, groups, 0.3), serial_groups,
+                     "serial groups vs naive");
+    for (int threads : kThreadCounts) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " threads " +
+                   std::to_string(threads));
+      const CoverageBuildOptions options{.num_threads = threads};
+      ExpectForwardLanesIdentical(
+          serial_pairs,
+          CoverageGraph::TryBuildForPairs(dist, pairs, options).value(),
+          "pairs");
+      ExpectForwardLanesIdentical(
+          serial_groups,
+          CoverageGraph::TryBuildForGroups(dist, pairs, groups, options)
+              .value(),
+          "groups");
+      ExpectForwardLanesIdentical(
+          serial_weighted,
+          CoverageGraph::TryBuildForPairsWeighted(dist, pairs, weights,
+                                                  options)
+              .value(),
+          "weighted");
+    }
+  }
+}
+
+TEST(CoverageDiffTest, TransposeMatchesBruteForceBackwardCsr) {
+  // Pairs, weighted and group graphs.
+  Rng rng(91);
+  Ontology onto = RandomOntology(rng, 50, 0.3);
+  std::vector<ConceptSentimentPair> pairs = RandomPairs(rng, onto, 180);
+  std::vector<std::vector<int>> groups = RandomGroups(rng, pairs.size());
+  std::vector<double> weights(pairs.size());
+  for (double& weight : weights) weight = 1.0 + rng.NextDouble();
+  PairDistance dist(&onto, 0.2);
+  ExpectTransposeMatchesBruteForce(
+      CoverageGraph::TryBuildForPairs(dist, pairs).value(), "pairs");
+  ExpectTransposeMatchesBruteForce(
+      CoverageGraph::TryBuildForPairsWeighted(dist, pairs, weights).value(),
+      "weighted");
+  const CoverageGraph group_graph =
+      CoverageGraph::TryBuildForGroups(dist, pairs, groups).value();
+  ExpectTransposeMatchesBruteForce(group_graph, "groups");
+  // Group edges carry the minimum over member pairs; the transpose keeps
+  // that minimum, not some member's distance.
+  const std::vector<RefEdge> naive = NaiveGroupEdges(onto, pairs, groups, 0.2);
+  const CoverageGraph::Transposed backward = group_graph.Transpose();
+  for (const RefEdge& edge : naive) {
+    bool found = false;
+    for (const auto& e : backward.CoveringOf(edge.target)) {
+      if (e.endpoint == edge.candidate) {
+        EXPECT_EQ(static_cast<double>(e.weight), edge.weight);
+        found = true;
+      }
+    }
+    EXPECT_TRUE(found) << "group edge (" << edge.candidate << ", "
+                       << edge.target << ") missing from the transpose";
+  }
+
+  // A graph without candidates transposes to one empty row per target.
+  const CoverageGraph no_edges =
+      CoverageGraph::TryBuildForGroups(dist, pairs, {}).value();
+  const CoverageGraph::Transposed none = no_edges.Transpose();
+  ASSERT_EQ(no_edges.num_targets(), static_cast<int>(pairs.size()));
+  for (int w = 0; w < no_edges.num_targets(); ++w) {
+    EXPECT_TRUE(none.CoveringOf(w).empty());
+  }
+}
+
+TEST(CoverageDiffTest, EstimateBytesEqualsFreshGraphBytes) {
+  // The memory gate and the serving layer's graph_bytes gauge both read
+  // EstimateBytes; it must equal what a freshly built graph's vectors
+  // hold, for every builder and thread count.
+  Rng rng(303);
+  Ontology onto = RandomOntology(rng, 70, 0.2);
+  std::vector<ConceptSentimentPair> pairs = RandomPairs(rng, onto, 220);
+  std::vector<std::vector<int>> groups = RandomGroups(rng, pairs.size());
+  std::vector<double> weights(pairs.size());
+  for (double& weight : weights) weight = 1.0 + rng.NextDouble();
+  PairDistance dist(&onto, 0.4);
+  for (int threads : kThreadCounts) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const CoverageBuildOptions options{.num_threads = threads};
+    const CoverageGraph pairs_graph =
+        CoverageGraph::TryBuildForPairs(dist, pairs, options).value();
+    const CoverageGraph groups_graph =
+        CoverageGraph::TryBuildForGroups(dist, pairs, groups, options).value();
+    const CoverageGraph weighted_graph =
+        CoverageGraph::TryBuildForPairsWeighted(dist, pairs, weights, options)
+            .value();
+    ASSERT_GT(pairs_graph.num_edges(), 0u);
+    EXPECT_EQ(GraphBytes(pairs_graph, /*weighted=*/false),
+              pairs_graph.MemoryBytes());
+    EXPECT_EQ(GraphBytes(groups_graph, /*weighted=*/false),
+              groups_graph.MemoryBytes());
+    EXPECT_EQ(GraphBytes(weighted_graph, /*weighted=*/true),
+              weighted_graph.MemoryBytes());
+    // Five bytes per edge: a four-byte endpoint and a one-byte distance.
+    EXPECT_EQ(GraphBytes(pairs_graph, false) -
+                  CoverageGraph::EstimateBytes(
+                      0, static_cast<size_t>(pairs_graph.num_candidates()),
+                      static_cast<size_t>(pairs_graph.num_targets()), false),
+              5 * pairs_graph.num_edges());
+  }
+}
+
+/// A root whose children c1..cn form a chain c1 → c2 → ... → cn, and each
+/// ci also hangs directly under the root: every depth is 1, yet c1 is
+/// n - 1 hops above cn.
+Ontology ShortcutChain(int n) {
+  Ontology onto;
+  ConceptId root = onto.AddConcept("root");
+  ConceptId previous = kInvalidConcept;
+  for (int i = 1; i <= n; ++i) {
+    ConceptId c = onto.AddConcept("c" + std::to_string(i));
+    EXPECT_TRUE(onto.AddEdge(root, c).ok());
+    if (previous != kInvalidConcept) {
+      EXPECT_TRUE(onto.AddEdge(previous, c).ok());
+    }
+    previous = c;
+  }
+  EXPECT_TRUE(onto.Finalize().ok());
+  return onto;
+}
+
+TEST(CoverageDiffTest, DistanceAboveOneByteFailsBeforeAllocating) {
+  // 256 concepts in the chain: c1 is 255 hops above c256, which still
+  // fits the byte lane; 257 puts it 256 hops up, which does not.
+  const Ontology fits = ShortcutChain(256);
+  const Ontology too_far = ShortcutChain(257);
+  EXPECT_EQ(fits.max_depth(), 1);
+  EXPECT_EQ(fits.max_ancestor_distance(), CoverageGraph::kMaxEdgeDistance);
+  EXPECT_EQ(too_far.max_depth(), 1);
+  EXPECT_EQ(too_far.max_ancestor_distance(),
+            CoverageGraph::kMaxEdgeDistance + 1);
+
+  // c1 covers c_last at the chain's full length.
+  auto chain_pairs = [](const Ontology& onto, int n) {
+    return std::vector<ConceptSentimentPair>{
+        {onto.FindByName("c1"), 0.0},
+        {onto.FindByName("c" + std::to_string(n)), 0.0}};
+  };
+  PairDistance fits_distance(&fits, 0.5);
+  const CoverageGraph built =
+      CoverageGraph::TryBuildForPairs(fits_distance, chain_pairs(fits, 256))
+          .value();
+  bool saw_longest = false;
+  for (const auto& e : built.EdgesOf(0)) {
+    if (e.endpoint == 1) {
+      EXPECT_EQ(e.weight, 255.0f);
+      saw_longest = true;
+    }
+  }
+  EXPECT_TRUE(saw_longest);
+
+  PairDistance too_far_distance(&too_far, 0.5);
+  const std::vector<ConceptSentimentPair> pairs = chain_pairs(too_far, 257);
+  Result<CoverageGraph> plain =
+      CoverageGraph::TryBuildForPairs(too_far_distance, pairs);
+  EXPECT_EQ(plain.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(plain.ok());
+  EXPECT_EQ(CoverageGraph::TryBuildForPairsWeighted(too_far_distance, pairs,
+                                                    {1.0, 2.0})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(CoverageGraph::TryBuildForGroups(too_far_distance, pairs, {{0, 1}})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  // The check is per ontology: pairs that never reach the long chain fail
+  // the same way.
+  EXPECT_EQ(CoverageGraph::TryBuildForPairs(
+                too_far_distance, {{too_far.FindByName("c5"), 0.1}})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+
+  // The item-level entry point returns the same error and no graph.
+  Item item;
+  item.id = "deep";
+  Review review;
+  Sentence sentence;
+  sentence.text = "chain";
+  sentence.pairs = pairs;
+  review.sentences.push_back(sentence);
+  item.reviews.push_back(review);
+  for (SummaryGranularity granularity :
+       {SummaryGranularity::kPairs, SummaryGranularity::kSentences,
+        SummaryGranularity::kReviews}) {
+    Result<ItemGraph> item_graph =
+        TryBuildItemGraph(too_far_distance, item, granularity);
+    EXPECT_FALSE(item_graph.ok());
+    EXPECT_EQ(item_graph.status().code(), StatusCode::kInvalidArgument);
   }
 }
 

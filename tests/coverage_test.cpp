@@ -66,7 +66,7 @@ TEST(CoverageGraphTest, RootDistancesMatchDepths) {
   EXPECT_DOUBLE_EQ(graph.EmptySummaryCost(), 3.0);
 }
 
-TEST(CoverageGraphTest, BackwardEdgesMirrorForward) {
+TEST(CoverageGraphTest, TransposeMirrorsForward) {
   Ontology onto = BuildChain();
   PairDistance dist(&onto, 0.5);
   std::vector<ConceptSentimentPair> pairs{{onto.FindByName("a"), 0.0},
@@ -77,9 +77,10 @@ TEST(CoverageGraphTest, BackwardEdgesMirrorForward) {
   for (int u = 0; u < graph.num_candidates(); ++u) {
     forward_total += graph.EdgesOf(u).size();
   }
+  const CoverageGraph::Transposed backward = graph.Transpose();
   for (int w = 0; w < graph.num_targets(); ++w) {
-    backward_total += graph.CoveringOf(w).size();
-    for (const auto& back : graph.CoveringOf(w)) {
+    backward_total += backward.CoveringOf(w).size();
+    for (const auto& back : backward.CoveringOf(w)) {
       bool found = false;
       for (const auto& fwd : graph.EdgesOf(back.endpoint)) {
         if (fwd.endpoint == w && fwd.weight == back.weight) found = true;

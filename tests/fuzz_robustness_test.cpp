@@ -103,9 +103,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzRobustness,
 // ------------------------------------------ deadline/cancellation fuzzing --
 
 SummaryAlgorithm RandomAlgorithm(Rng& rng) {
+  // Draws 0 and 1 are both greedy (1 was the lazy-heap variant, now the
+  // facade's one greedy), so every seed keeps its draws.
   switch (rng.NextUint64(5)) {
-    case 0: return SummaryAlgorithm::kGreedy;
-    case 1: return SummaryAlgorithm::kGreedyLazy;
+    case 0:
+    case 1: return SummaryAlgorithm::kGreedy;
     case 2: return SummaryAlgorithm::kIlp;
     case 3: return SummaryAlgorithm::kRandomizedRounding;
     default: return SummaryAlgorithm::kLocalSearch;

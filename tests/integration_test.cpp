@@ -177,7 +177,7 @@ TEST(PipelineShape, RawTextPipelineSupportsAllAlgorithms) {
   double ilp_cost = -1;
   for (SummaryAlgorithm algorithm :
        {SummaryAlgorithm::kIlp, SummaryAlgorithm::kGreedy,
-        SummaryAlgorithm::kGreedyLazy, SummaryAlgorithm::kRandomizedRounding,
+        SummaryAlgorithm::kRandomizedRounding,
         SummaryAlgorithm::kLocalSearch}) {
     ReviewSummarizerOptions summarizer_options;
     summarizer_options.algorithm = algorithm;

@@ -201,7 +201,7 @@ TEST(OptionsFingerprintTest, SolutionFieldsChangeItRuntimeKnobsDoNot) {
   algorithm.algorithm = SummaryAlgorithm::kIlp;
   EXPECT_NE(OptionsFingerprint(algorithm), h);
   ReviewSummarizerOptions chain = base;
-  chain.fallback_chain.push_back(SummaryAlgorithm::kGreedyLazy);
+  chain.fallback_chain.push_back(SummaryAlgorithm::kLocalSearch);
   EXPECT_NE(OptionsFingerprint(chain), h);
 
   // Deployment-tuning knobs proven not to affect the solution.
@@ -890,73 +890,68 @@ TEST_F(SharedGraphTest, CollectedStatsAggregateTheRequestsSolverSpans) {
 }
 
 TEST_F(SharedGraphTest, ConcurrentDistinctKOnFreshItemBuildOnce) {
-  for (SummaryAlgorithm algorithm :
-       {SummaryAlgorithm::kGreedy, SummaryAlgorithm::kGreedyLazy}) {
-    SCOPED_TRACE(SummaryAlgorithmToString(algorithm));
-    // Stall the one build so the other reads arrive while it runs; they
-    // then all reach the version's greedy run at once.
-    ASSERT_TRUE(FailpointRegistry::Global()
-                    .ArmFromSpec("osrs.coverage.alloc=delay(100):once")
-                    .ok());
-    ServeOptions options;
-    options.num_threads = 8;
-    options.summarizer.algorithm = algorithm;
-    SummaryServer server(&onto_, {item_}, options);
+  // Stall the one build so the other reads arrive while it runs; they
+  // then all reach the version's greedy run at once.
+  ASSERT_TRUE(FailpointRegistry::Global()
+                  .ArmFromSpec("osrs.coverage.alloc=delay(100):once")
+                  .ok());
+  ServeOptions options;
+  options.num_threads = 8;
+  SummaryServer server(&onto_, {item_}, options);
 
-    constexpr int kClients = 8;
-    std::vector<ServeResponse> responses(kClients);
-    std::vector<std::thread> threads;
-    threads.reserve(kClients);
-    for (int c = 0; c < kClients; ++c) {
-      threads.emplace_back([this, &server, &responses, c] {
-        ServeRequest request;
-        request.item_id = item_.id;
-        request.k = 1 + c;
-        responses[static_cast<size_t>(c)] = server.Serve(request);
-      });
-    }
-    for (std::thread& thread : threads) thread.join();
-    FailpointRegistry::Global().DisarmAll();
-
-    ReviewSummarizer cold(&onto_, options.summarizer);
-    int started = 0;
-    int rounds = 0;
-    for (int c = 0; c < kClients; ++c) {
-      const ServeResponse& response = responses[static_cast<size_t>(c)];
-      ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-      EXPECT_EQ(response.outcome, ServeOutcome::kSolved)
-          << "distinct k never coalesce";
-      EXPECT_TRUE(response.trace.balanced());
-      auto direct = cold.Summarize(item_, 1 + c);
-      ASSERT_TRUE(direct.ok());
-      EXPECT_EQ(Fingerprint(response.summary), Fingerprint(*direct))
-          << "k=" << 1 + c;
-      // A read that started the run or ran rounds shows a greedy span,
-      // and its counters are in its own trace and stats alike.
-      const int64_t read_starts =
-          response.trace.stat(obs::Stat::kGreedyRunStarts);
-      const int64_t read_rounds =
-          response.trace.stat(obs::Stat::kGreedyRunRounds);
-      if (read_starts > 0 || read_rounds > 0) {
-        EXPECT_TRUE(response.trace.HasSpan(obs::SpanKind::kGreedy));
-      }
-      EXPECT_EQ(response.trace.HasSpan(obs::SpanKind::kHeapInit),
-                read_starts > 0);
-      EXPECT_EQ(response.summary.stats.counter("greedy_run_starts"),
-                read_starts);
-      EXPECT_EQ(response.summary.stats.counter("greedy_run_rounds"),
-                read_rounds);
-      started += read_starts;
-      rounds += read_rounds;
-    }
-    EXPECT_EQ(server.counters().solves, kClients);
-    EXPECT_EQ(server.counters().graph_builds, 1)
-        << "concurrent reads of one version must wait on a single build";
-    EXPECT_EQ(server.counters().greedy_runs, 1)
-        << "concurrent reads of one version must share one greedy run";
-    EXPECT_EQ(started, 1);
-    EXPECT_EQ(rounds, kClients) << "every round runs once, for the largest k";
+  constexpr int kClients = 8;
+  std::vector<ServeResponse> responses(kClients);
+  std::vector<std::thread> threads;
+  threads.reserve(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([this, &server, &responses, c] {
+      ServeRequest request;
+      request.item_id = item_.id;
+      request.k = 1 + c;
+      responses[static_cast<size_t>(c)] = server.Serve(request);
+    });
   }
+  for (std::thread& thread : threads) thread.join();
+  FailpointRegistry::Global().DisarmAll();
+
+  ReviewSummarizer cold(&onto_, options.summarizer);
+  int started = 0;
+  int rounds = 0;
+  for (int c = 0; c < kClients; ++c) {
+    const ServeResponse& response = responses[static_cast<size_t>(c)];
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    EXPECT_EQ(response.outcome, ServeOutcome::kSolved)
+        << "distinct k never coalesce";
+    EXPECT_TRUE(response.trace.balanced());
+    auto direct = cold.Summarize(item_, 1 + c);
+    ASSERT_TRUE(direct.ok());
+    EXPECT_EQ(Fingerprint(response.summary), Fingerprint(*direct))
+        << "k=" << 1 + c;
+    // A read that started the run or ran rounds shows a greedy span,
+    // and its counters are in its own trace and stats alike.
+    const int64_t read_starts =
+        response.trace.stat(obs::Stat::kGreedyRunStarts);
+    const int64_t read_rounds =
+        response.trace.stat(obs::Stat::kGreedyRunRounds);
+    if (read_starts > 0 || read_rounds > 0) {
+      EXPECT_TRUE(response.trace.HasSpan(obs::SpanKind::kGreedy));
+    }
+    EXPECT_EQ(response.trace.HasSpan(obs::SpanKind::kHeapInit),
+              read_starts > 0);
+    EXPECT_EQ(response.summary.stats.counter("greedy_run_starts"),
+              read_starts);
+    EXPECT_EQ(response.summary.stats.counter("greedy_run_rounds"),
+              read_rounds);
+    started += read_starts;
+    rounds += read_rounds;
+  }
+  EXPECT_EQ(server.counters().solves, kClients);
+  EXPECT_EQ(server.counters().graph_builds, 1)
+      << "concurrent reads of one version must wait on a single build";
+  EXPECT_EQ(server.counters().greedy_runs, 1)
+      << "concurrent reads of one version must share one greedy run";
+  EXPECT_EQ(started, 1);
+  EXPECT_EQ(rounds, kClients) << "every round runs once, for the largest k";
 }
 
 TEST_F(SharedGraphTest, GreedyRunAnswersAnyKOrderLikeColdSolves) {
@@ -969,70 +964,66 @@ TEST_F(SharedGraphTest, GreedyRunAnswersAnyKOrderLikeColdSolves) {
   for (SummaryGranularity granularity :
        {SummaryGranularity::kPairs, SummaryGranularity::kSentences,
         SummaryGranularity::kReviews}) {
-    for (SummaryAlgorithm algorithm :
-         {SummaryAlgorithm::kGreedy, SummaryAlgorithm::kGreedyLazy}) {
-      for (const std::vector<int>& order : orders) {
-        const std::string context = StrFormat(
-            "granularity %d, %s, first k %d", static_cast<int>(granularity),
-            SummaryAlgorithmToString(algorithm), order.front());
-        ServeOptions options;
-        options.num_threads = 2;
-        options.summarizer.granularity = granularity;
-        options.summarizer.algorithm = algorithm;
-        SummaryServer server(&onto_, {item_}, options);
+    for (const std::vector<int>& order : orders) {
+      const std::string context =
+          StrFormat("granularity %d, first k %d",
+                    static_cast<int>(granularity), order.front());
+      ServeOptions options;
+      options.num_threads = 2;
+      options.summarizer.granularity = granularity;
+      SummaryServer server(&onto_, {item_}, options);
 
-        std::vector<ServeResponse> first =
-            ExpectColdAnswers(server, item_, options.summarizer, context,
-                              order);
-        EXPECT_EQ(server.counters().greedy_runs, 1) << context;
-        int high = 0;  // the longest the run has been
-        for (size_t i = 0; i < first.size(); ++i) {
-          const obs::RequestTrace& trace = first[i].trace;
-          const int64_t starts = trace.stat(obs::Stat::kGreedyRunStarts);
-          const int64_t rounds = trace.stat(obs::Stat::kGreedyRunRounds);
-          EXPECT_EQ(starts, i == 0 ? 1 : 0) << context;
-          EXPECT_EQ(rounds, std::max(0, order[i] - high)) << context;
-          high = std::max(high, order[i]);
-          // A read that only sliced the run shows no greedy span.
-          EXPECT_EQ(trace.HasSpan(obs::SpanKind::kGreedy),
-                    rounds > 0 || starts > 0)
-              << context << " k=" << order[i];
-          EXPECT_EQ(trace.HasSpan(obs::SpanKind::kHeapInit), starts > 0)
-              << context << " k=" << order[i];
-        }
-
-        // An epoch bump keeps the version, so its graph and its run: every
-        // answer is a slice.
-        server.BumpEpoch();
-        for (const ServeResponse& sliced : ExpectColdAnswers(
-                 server, item_, options.summarizer, context + " bumped",
-                 order)) {
-          EXPECT_EQ(sliced.trace.stat(obs::Stat::kGreedyRunRounds), 0)
-              << context;
-          EXPECT_FALSE(sliced.trace.HasSpan(obs::SpanKind::kGreedy));
-        }
-        EXPECT_EQ(server.counters().greedy_runs, 1) << context;
-
-        // A new version gets its own graph and run, both started at write
-        // time; the old run never answers (every answer is the new
-        // version's cold answer), and no read builds or inits a heap.
-        server.UpdateItem(next);
-        ASSERT_TRUE(server.WaitForWriteBuilds(kBuilderWaitMs)) << context;
-        EXPECT_EQ(server.counters().greedy_runs, 2) << context;
-        std::vector<ServeResponse> updated = ExpectColdAnswers(
-            server, next, options.summarizer, context + " updated", order);
-        for (const ServeResponse& served : updated) {
-          EXPECT_EQ(served.trace.stat(obs::Stat::kGreedyRunStarts), 0)
-              << context;
-          EXPECT_FALSE(served.trace.HasSpan(obs::SpanKind::kHeapInit))
-              << context;
-          EXPECT_FALSE(served.trace.HasSpan(obs::SpanKind::kGraphBuild))
-              << context;
-        }
-        EXPECT_EQ(server.counters().greedy_runs, 2) << context;
-        EXPECT_EQ(server.counters().graph_builds, 2) << context;
-        EXPECT_EQ(server.counters().write_builds, 1) << context;
+      std::vector<ServeResponse> first =
+          ExpectColdAnswers(server, item_, options.summarizer, context,
+                            order);
+      EXPECT_EQ(server.counters().greedy_runs, 1) << context;
+      int high = 0;  // the longest the run has been
+      for (size_t i = 0; i < first.size(); ++i) {
+        const obs::RequestTrace& trace = first[i].trace;
+        const int64_t starts = trace.stat(obs::Stat::kGreedyRunStarts);
+        const int64_t rounds = trace.stat(obs::Stat::kGreedyRunRounds);
+        EXPECT_EQ(starts, i == 0 ? 1 : 0) << context;
+        EXPECT_EQ(rounds, std::max(0, order[i] - high)) << context;
+        high = std::max(high, order[i]);
+        // A read that only sliced the run shows no greedy span.
+        EXPECT_EQ(trace.HasSpan(obs::SpanKind::kGreedy),
+                  rounds > 0 || starts > 0)
+            << context << " k=" << order[i];
+        EXPECT_EQ(trace.HasSpan(obs::SpanKind::kHeapInit), starts > 0)
+            << context << " k=" << order[i];
       }
+
+      // An epoch bump keeps the version, so its graph and its run: every
+      // answer is a slice.
+      server.BumpEpoch();
+      for (const ServeResponse& sliced : ExpectColdAnswers(
+               server, item_, options.summarizer, context + " bumped",
+               order)) {
+        EXPECT_EQ(sliced.trace.stat(obs::Stat::kGreedyRunRounds), 0)
+            << context;
+        EXPECT_FALSE(sliced.trace.HasSpan(obs::SpanKind::kGreedy));
+      }
+      EXPECT_EQ(server.counters().greedy_runs, 1) << context;
+
+      // A new version gets its own graph and run, both started at write
+      // time; the old run never answers (every answer is the new
+      // version's cold answer), and no read builds or inits a heap.
+      server.UpdateItem(next);
+      ASSERT_TRUE(server.WaitForWriteBuilds(kBuilderWaitMs)) << context;
+      EXPECT_EQ(server.counters().greedy_runs, 2) << context;
+      std::vector<ServeResponse> updated = ExpectColdAnswers(
+          server, next, options.summarizer, context + " updated", order);
+      for (const ServeResponse& served : updated) {
+        EXPECT_EQ(served.trace.stat(obs::Stat::kGreedyRunStarts), 0)
+            << context;
+        EXPECT_FALSE(served.trace.HasSpan(obs::SpanKind::kHeapInit))
+            << context;
+        EXPECT_FALSE(served.trace.HasSpan(obs::SpanKind::kGraphBuild))
+            << context;
+      }
+      EXPECT_EQ(server.counters().greedy_runs, 2) << context;
+      EXPECT_EQ(server.counters().graph_builds, 2) << context;
+      EXPECT_EQ(server.counters().write_builds, 1) << context;
     }
   }
   // The update must change answers, or the old run could pass for new.
@@ -1045,47 +1036,35 @@ TEST_F(SharedGraphTest, GreedyRunAnswersAnyKOrderLikeColdSolves) {
 
 TEST_F(SharedGraphTest, WorkBudgetDegradesServedSlicesLikeColdSolves) {
   const std::vector<int> shuffled = {4, 9, 1, 7, 10, 2, 6, 3, 8, 5};
-  for (SummaryAlgorithm algorithm :
-       {SummaryAlgorithm::kGreedy, SummaryAlgorithm::kGreedyLazy}) {
-    // Half the work of an unbudgeted k = 10 solve: a cold k = 10 degrades.
-    ReviewSummarizerOptions unbudgeted;
-    unbudgeted.algorithm = algorithm;
-    auto full = ReviewSummarizer(&onto_, unbudgeted).Summarize(item_, 10);
-    ASSERT_TRUE(full.ok());
-    int64_t work = 0;
-    for (const auto& counter : full->stats.counters) {
-      if (counter.name == "key_updates" || counter.name == "gain_recomputes") {
-        work = counter.value;
-      }
-    }
-    ASSERT_GT(work, 1);
-    // With the default chain a greedy fallback finishes what the primary
-    // started; with none the primary's incumbent is the answer.
-    for (const std::vector<SummaryAlgorithm>& chain :
-         {std::vector<SummaryAlgorithm>{SummaryAlgorithm::kGreedy},
-          std::vector<SummaryAlgorithm>{}}) {
-      const std::string context =
-          StrFormat("%s, %zu fallbacks", SummaryAlgorithmToString(algorithm),
-                    chain.size());
-      ServeOptions options;
-      options.num_threads = 2;
-      options.summarizer.algorithm = algorithm;
-      options.summarizer.max_solver_work = work / 2;
-      options.summarizer.fallback_chain = chain;
-      auto cold_ten =
-          ReviewSummarizer(&onto_, options.summarizer).Summarize(item_, 10);
-      ASSERT_TRUE(cold_ten.ok());
-      ASSERT_TRUE(cold_ten->degraded) << context;
+  // Half the work of an unbudgeted k = 10 solve: a cold k = 10 degrades.
+  // The facade's greedy counts gain recomputes.
+  auto full = ReviewSummarizer(&onto_, {}).Summarize(item_, 10);
+  ASSERT_TRUE(full.ok());
+  const int64_t work = full->stats.counter("gain_recomputes");
+  ASSERT_GT(work, 1);
+  // With the default chain a greedy fallback finishes what the primary
+  // started; with none the primary's incumbent is the answer.
+  for (const std::vector<SummaryAlgorithm>& chain :
+       {std::vector<SummaryAlgorithm>{SummaryAlgorithm::kGreedy},
+        std::vector<SummaryAlgorithm>{}}) {
+    const std::string context = StrFormat("%zu fallbacks", chain.size());
+    ServeOptions options;
+    options.num_threads = 2;
+    options.summarizer.max_solver_work = work / 2;
+    options.summarizer.fallback_chain = chain;
+    auto cold_ten =
+        ReviewSummarizer(&onto_, options.summarizer).Summarize(item_, 10);
+    ASSERT_TRUE(cold_ten.ok());
+    ASSERT_TRUE(cold_ten->degraded) << context;
 
-      SummaryServer server(&onto_, {item_}, options);
-      int degraded = 0;
-      for (const ServeResponse& served : ExpectColdAnswers(
-               server, item_, options.summarizer, context, shuffled)) {
-        degraded += served.summary.degraded ? 1 : 0;
-      }
-      EXPECT_GT(degraded, 0) << context;
-      EXPECT_LT(degraded, 10) << context << ": small k fit the budget";
+    SummaryServer server(&onto_, {item_}, options);
+    int degraded = 0;
+    for (const ServeResponse& served : ExpectColdAnswers(
+             server, item_, options.summarizer, context, shuffled)) {
+      degraded += served.summary.degraded ? 1 : 0;
     }
+    EXPECT_GT(degraded, 0) << context;
+    EXPECT_LT(degraded, 10) << context << ": small k fit the budget";
   }
 }
 
@@ -1145,38 +1124,34 @@ void ExpectAccountingHolds(const ServerCounters& c) {
 TEST_F(SharedGraphTest, WriteBuildsTheNewVersionBeforeAnyRead) {
   std::vector<int> ks;
   for (int k = 0; k <= 8; ++k) ks.push_back(k);
-  for (SummaryAlgorithm algorithm :
-       {SummaryAlgorithm::kGreedy, SummaryAlgorithm::kGreedyLazy}) {
-    const std::string context = SummaryAlgorithmToString(algorithm);
-    ServeOptions options;
-    options.num_threads = 2;
-    options.summarizer.algorithm = algorithm;
-    SummaryServer server(&onto_, {item_}, options);
+  const std::string context = "write-time build";
+  ServeOptions options;
+  options.num_threads = 2;
+  SummaryServer server(&onto_, {item_}, options);
 
-    const Item next = NextVersion(5);
-    server.UpdateItem(next);
-    ASSERT_TRUE(server.WaitForWriteBuilds(kBuilderWaitMs)) << context;
-    ServerCounters built = server.counters();
-    EXPECT_EQ(built.graph_builds, 1) << context;
-    EXPECT_EQ(built.greedy_runs, 1) << context;
-    EXPECT_EQ(built.write_builds, 1) << context;
+  const Item next = NextVersion(5);
+  server.UpdateItem(next);
+  ASSERT_TRUE(server.WaitForWriteBuilds(kBuilderWaitMs)) << context;
+  ServerCounters built = server.counters();
+  EXPECT_EQ(built.graph_builds, 1) << context;
+  EXPECT_EQ(built.greedy_runs, 1) << context;
+  EXPECT_EQ(built.write_builds, 1) << context;
 
-    // Every read only slices or extends the run the write started.
-    for (const ServeResponse& served :
-         ExpectColdAnswers(server, next, options.summarizer, context, ks)) {
-      EXPECT_FALSE(served.trace.HasSpan(obs::SpanKind::kGraphBuild))
-          << context;
-      EXPECT_FALSE(served.trace.HasSpan(obs::SpanKind::kHeapInit))
-          << context;
-      EXPECT_EQ(served.trace.stat(obs::Stat::kGreedyRunStarts), 0)
-          << context;
-    }
-    const ServerCounters after = server.counters();
-    EXPECT_EQ(after.graph_builds, 1) << context;
-    EXPECT_EQ(after.greedy_runs, 1) << context;
-    EXPECT_EQ(after.write_builds, 1) << context;
-    ExpectAccountingHolds(after);
+  // Every read only slices or extends the run the write started.
+  for (const ServeResponse& served :
+       ExpectColdAnswers(server, next, options.summarizer, context, ks)) {
+    EXPECT_FALSE(served.trace.HasSpan(obs::SpanKind::kGraphBuild))
+        << context;
+    EXPECT_FALSE(served.trace.HasSpan(obs::SpanKind::kHeapInit))
+        << context;
+    EXPECT_EQ(served.trace.stat(obs::Stat::kGreedyRunStarts), 0)
+        << context;
   }
+  const ServerCounters after = server.counters();
+  EXPECT_EQ(after.graph_builds, 1) << context;
+  EXPECT_EQ(after.greedy_runs, 1) << context;
+  EXPECT_EQ(after.write_builds, 1) << context;
+  ExpectAccountingHolds(after);
 }
 
 TEST_F(SharedGraphTest, FailedWriteBuildLeavesTheFirstReadToBuild) {

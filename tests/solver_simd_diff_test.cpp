@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -71,7 +72,7 @@ void ExpectGraphsIdentical(const CoverageGraph& a, const CoverageGraph& b) {
     ASSERT_EQ(0, std::memcmp(la.endpoint, lb.endpoint,
                              la.size * sizeof(int32_t)));
     ASSERT_EQ(0, std::memcmp(la.distance, lb.distance,
-                             la.size * sizeof(float)));
+                             la.size * sizeof(uint8_t)));
   }
   for (int w = 0; w < a.num_targets(); ++w) {
     ASSERT_EQ(a.root_distance(w), b.root_distance(w));
@@ -93,10 +94,10 @@ std::vector<SolverRun> RunAllSolvers(const CoverageGraph& graph, int k) {
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     runs.push_back({result->selected, result->cost});
   };
+  GreedyOptions eager;
+  eager.heap = GreedyOptions::Heap::kEager;
+  record(GreedySummarizer(eager).Summarize(graph, k));
   record(GreedySummarizer().Summarize(graph, k));
-  GreedyOptions lazy;
-  lazy.heap = GreedyOptions::Heap::kLazy;
-  record(GreedySummarizer(lazy).Summarize(graph, k));
   record(LocalSearchSummarizer().Summarize(graph, k));
   RandomizedRoundingOptions rr;
   rr.seed = 0xC0FFEE;
@@ -214,14 +215,14 @@ TEST(SimdKernelDiff, GainReduceAndApplyPickMinMatchScalar) {
     std::vector<size_t> picks =
         rng.SampleWithoutReplacement(num_targets, num_edges);
     std::vector<int32_t> endpoints(num_edges);
-    std::vector<float> distances(num_edges);
+    std::vector<uint8_t> distances(num_edges);
     std::vector<float> best(num_targets);
     std::vector<double> weights(num_targets);
     for (auto& b : best) b = static_cast<float>(rng.NextUint64(12));
     for (auto& w : weights) w = static_cast<double>(1 + rng.NextUint64(3));
     for (size_t i = 0; i < num_edges; ++i) {
       endpoints[i] = static_cast<int32_t>(picks[i]);
-      distances[i] = static_cast<float>(rng.NextUint64(12));
+      distances[i] = static_cast<uint8_t>(rng.NextUint64(12));
     }
     const double* tw = (trial % 2 == 0) ? weights.data() : nullptr;
 
@@ -248,6 +249,75 @@ TEST(SimdKernelDiff, GainReduceAndApplyPickMinMatchScalar) {
                              num_targets * sizeof(float)));
     // The gain a candidate advertises equals the delta applying it yields.
     EXPECT_EQ(scalar_gain, scalar_delta);
+  }
+}
+
+TEST(SimdKernelDiff, ByteLaneKernelsBitIdenticalForEveryRowLength) {
+  // Every row length from empty through two full 8-lane chunks plus a
+  // tail, with and without multiplicities, over the whole byte range
+  // (distances up to 255, the lane's maximum): both kernels agree across
+  // backends bit for bit, and with an exact double reference, because
+  // every byte converts to float exactly and every term is integral.
+  Rng rng(0xB17E5ULL);
+  const size_t num_targets = 64;
+  std::vector<double> weights(num_targets);
+  for (auto& w : weights) w = static_cast<double>(1 + rng.NextUint64(5));
+  for (size_t n = 0; n <= 17; ++n) {
+    for (bool weighted : {false, true}) {
+      for (int trial = 0; trial < 8; ++trial) {
+        const std::string context = "n=" + std::to_string(n) +
+                                    (weighted ? " weighted" : " plain") +
+                                    " trial " + std::to_string(trial);
+        std::vector<size_t> picks =
+            rng.SampleWithoutReplacement(num_targets, n);
+        std::vector<int32_t> endpoints(n);
+        std::vector<uint8_t> distances(n);
+        std::vector<float> best(num_targets);
+        for (auto& b : best) b = static_cast<float>(rng.NextUint64(256));
+        for (size_t i = 0; i < n; ++i) {
+          endpoints[i] = static_cast<int32_t>(picks[i]);
+          // Half the trials draw near the top of the byte range.
+          distances[i] = static_cast<uint8_t>(
+              trial % 2 == 0 ? rng.NextUint64(256)
+                             : 250 + rng.NextUint64(6));
+        }
+        const double* tw = weighted ? weights.data() : nullptr;
+
+        double reference = 0.0;
+        std::vector<float> reference_best = best;
+        for (size_t i = 0; i < n; ++i) {
+          const size_t w = static_cast<size_t>(endpoints[i]);
+          const double d = static_cast<double>(distances[i]);
+          const double improvement = static_cast<double>(best[w]) - d;
+          if (improvement > 0.0) {
+            reference += improvement * (weighted ? weights[w] : 1.0);
+            reference_best[w] = static_cast<float>(distances[i]);
+          }
+        }
+
+        double gain[2], delta[2];
+        std::vector<float> applied[2] = {best, best};
+        const simd::Backend backends[2] = {simd::Backend::kScalar,
+                                           simd::Backend::kAvx2};
+        for (int b = 0; b < 2; ++b) {
+          ScopedBackend backend(backends[b]);
+          gain[b] = simd::GainReduce(endpoints.data(), distances.data(), n,
+                                     best.data(), tw);
+          delta[b] = simd::ApplyPickMin(endpoints.data(), distances.data(),
+                                        n, applied[b].data(), tw);
+        }
+        EXPECT_EQ(std::memcmp(&gain[0], &gain[1], sizeof(double)), 0)
+            << context;
+        EXPECT_EQ(std::memcmp(&delta[0], &delta[1], sizeof(double)), 0)
+            << context;
+        EXPECT_EQ(0, std::memcmp(applied[0].data(), applied[1].data(),
+                                 num_targets * sizeof(float)))
+            << context;
+        EXPECT_EQ(gain[0], reference) << context;
+        EXPECT_EQ(delta[0], reference) << context;
+        EXPECT_EQ(applied[0], reference_best) << context;
+      }
+    }
   }
 }
 

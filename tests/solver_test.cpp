@@ -28,7 +28,10 @@ struct Instance {
   std::vector<ConceptSentimentPair> pairs;
 };
 
-Instance MakeInstance(uint64_t seed, int num_pairs, int num_concepts = 60) {
+/// `quantum` > 0 rounds every sentiment to a multiple of it, which makes
+/// exact gain ties common.
+Instance MakeInstance(uint64_t seed, int num_pairs, int num_concepts = 60,
+                      double quantum = 0.0) {
   SnomedLikeOptions options;
   options.num_concepts = num_concepts;
   options.max_depth = 5;
@@ -42,9 +45,16 @@ Instance MakeInstance(uint64_t seed, int num_pairs, int num_concepts = 60) {
     // Cluster sentiments around a few modes so coverage is non-trivial.
     double mode = rng.NextBernoulli(0.6) ? 0.6 : -0.4;
     double s = Clamp(mode + rng.NextGaussian(0.0, 0.3), -1.0, 1.0);
+    if (quantum > 0.0) s = std::round(s / quantum) * quantum;
     instance.pairs.push_back({c, s});
   }
   return instance;
+}
+
+GreedySummarizer EagerGreedy() {
+  GreedyOptions options;
+  options.heap = GreedyOptions::Heap::kEager;
+  return GreedySummarizer(options);
 }
 
 // ----------------------------------------------------------------- Greedy --
@@ -92,16 +102,64 @@ TEST(GreedyTest, EagerAndLazyAgreeOnCost) {
     PairDistance dist(&inst.ontology, 0.5);
     CoverageGraph graph =
         CoverageGraph::TryBuildForPairs(dist, inst.pairs).value();
-    GreedyOptions lazy_options;
-    lazy_options.heap = GreedyOptions::Heap::kLazy;
-    auto eager = GreedySummarizer().Summarize(graph, 5);
-    auto lazy = GreedySummarizer(lazy_options).Summarize(graph, 5);
+    auto eager = EagerGreedy().Summarize(graph, 5);
+    auto lazy = GreedySummarizer().Summarize(graph, 5);
     ASSERT_TRUE(eager.ok());
     ASSERT_TRUE(lazy.ok());
-    // Identical selections except possibly on exact gain ties; cost must
-    // match because both take a maximum-gain candidate each round.
-    EXPECT_NEAR(eager->cost, lazy->cost, 1e-9);
+    EXPECT_EQ(eager->selected, lazy->selected);
+    EXPECT_EQ(eager->cost, lazy->cost);
   }
+}
+
+TEST(GreedyTest, EagerAndLazyPickTheSameOnTieHeavyGraphs) {
+  // The lazy heap (the facade's greedy) must pick exactly what the paper's
+  // eager heap picks, ties included: both take the largest gain and, among
+  // equal gains, the smallest candidate id. Sentiments quantized to 0.25
+  // make exact ties common. Plain, weighted (integer multiplicities, as
+  // DedupePairs yields) and group graphs, every k up to 10 — a greedy
+  // selection at k is the prefix of the one at 10.
+  int tied_instances = 0;
+  for (uint64_t seed = 1; seed <= 400; ++seed) {
+    Instance inst = MakeInstance(seed, 12 + static_cast<int>(seed % 40),
+                                 /*num_concepts=*/25, /*quantum=*/0.25);
+    PairDistance dist(&inst.ontology, 0.25);
+    Rng rng(seed * 131 + 7);
+    std::vector<double> weights;
+    std::vector<std::vector<int>> groups(1 + inst.pairs.size() / 3);
+    for (size_t i = 0; i < inst.pairs.size(); ++i) {
+      weights.push_back(static_cast<double>(1 + rng.NextUint64(3)));
+      groups[rng.NextUint64(groups.size())].push_back(static_cast<int>(i));
+    }
+    std::erase_if(groups, [](const std::vector<int>& g) { return g.empty(); });
+    const std::vector<std::pair<std::string, CoverageGraph>> graphs = {
+        {"pairs", CoverageGraph::TryBuildForPairs(dist, inst.pairs).value()},
+        {"weighted",
+         CoverageGraph::TryBuildForPairsWeighted(dist, inst.pairs, weights)
+             .value()},
+        {"groups",
+         CoverageGraph::TryBuildForGroups(dist, inst.pairs, groups).value()},
+    };
+    for (const auto& [name, graph] : graphs) {
+      const std::string context =
+          name + " seed " + std::to_string(seed);
+      const int k = std::min(10, graph.num_candidates());
+      auto eager = EagerGreedy().Summarize(graph, k);
+      auto lazy = GreedySummarizer().Summarize(graph, k);
+      ASSERT_TRUE(eager.ok() && lazy.ok()) << context;
+      EXPECT_EQ(eager->selected, lazy->selected) << context;
+      EXPECT_EQ(eager->cost, lazy->cost) << context;  // exact
+      // Count instances whose first pick is a tie, so the test keeps
+      // exercising the tie rule.
+      std::vector<double> gains;
+      const double empty = graph.EmptySummaryCost();
+      for (int u = 0; u < graph.num_candidates(); ++u) {
+        gains.push_back(empty - graph.CostOfSelection({u}));
+      }
+      const double top = *std::max_element(gains.begin(), gains.end());
+      if (std::count(gains.begin(), gains.end(), top) > 1) ++tied_instances;
+    }
+  }
+  EXPECT_GT(tied_instances, 100) << "the instances no longer produce ties";
 }
 
 TEST(GreedyTest, GreedyIsMonotoneInK) {

@@ -18,7 +18,7 @@
 //   --epsilon <e>      sentiment threshold ε (default 0.5)
 //   --items <n>        only the first n items (default: all)
 //   --granularity <g>  pairs | sentences | reviews (default sentences)
-//   --algorithms <csv> subset of greedy,greedy_lazy,ilp,rr,local_search
+//   --algorithms <csv> subset of greedy,ilp,rr,local_search
 //                      (default greedy,rr,ilp)
 //
 // Exit codes: 0 success, 2 usage/IO error.
@@ -81,8 +81,8 @@ void PrintUsage(std::FILE* out) {
       "  --epsilon <e>      sentiment threshold (default 0.5)\n"
       "  --items <n>        only the first n items\n"
       "  --granularity <g>  pairs | sentences | reviews (default sentences)\n"
-      "  --algorithms <csv> subset of greedy,greedy_lazy,ilp,rr,\n"
-      "                     local_search (default greedy,rr,ilp)\n"
+      "  --algorithms <csv> subset of greedy,ilp,rr,local_search\n"
+      "                     (default greedy,rr,ilp)\n"
       "  -h, --help         this message\n"
       "\n"
       "exit codes: 0 success, 2 usage or I/O error\n",
@@ -92,8 +92,6 @@ void PrintUsage(std::FILE* out) {
 bool ParseAlgorithm(std::string_view name, SummaryAlgorithm* out) {
   if (name == "greedy") {
     *out = SummaryAlgorithm::kGreedy;
-  } else if (name == "greedy_lazy") {
-    *out = SummaryAlgorithm::kGreedyLazy;
   } else if (name == "ilp") {
     *out = SummaryAlgorithm::kIlp;
   } else if (name == "rr") {
